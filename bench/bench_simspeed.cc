@@ -110,19 +110,13 @@ BENCHMARK(sweepFig8Matrix)
 
 /**
  * The trace-replay payoff case (DESIGN.md §11): every registered
- * technique × 2 seeds over four benchmarks, serial. With tracing on
- * (the default) each distinct program is interpreted once into a
- * functional trace and every other cell replays it; with
- * SIQSIM_TRACE=0 every cell re-interprets from scratch. The ratio
- * of the two rates is the headline speedup of the trace subsystem.
- * The env var is read at runner construction, so setting it inside
- * the loop (fresh runner per iteration) is race-free; it is restored
- * to unset afterwards so later benchmarks see the default.
+ * technique × 2 seeds over four benchmarks, serial. Each distinct
+ * program is interpreted once into a functional trace and every
+ * other cell replays it.
  */
 void
-sweepAllTechniques(benchmark::State &state, bool traceOn)
+sweepAllTechniques(benchmark::State &state)
 {
-    setenv("SIQSIM_TRACE", traceOn ? "1" : "0", 1);
     sim::SweepSpec spec;
     spec.benchmarks = {"gzip", "mcf", "crafty", "specfp"};
     spec.techniques = sim::techniqueNames();
@@ -142,13 +136,9 @@ sweepAllTechniques(benchmark::State &state, bool traceOn)
     state.SetItemsProcessed(static_cast<std::int64_t>(cells));
     state.counters["techniques"] =
         static_cast<double>(spec.techniques.size());
-    unsetenv("SIQSIM_TRACE");
 }
 
-BENCHMARK_CAPTURE(sweepAllTechniques, replay, true)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(sweepAllTechniques, interpret, false)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(sweepAllTechniques)->Unit(benchmark::kMillisecond);
 
 /**
  * Console reporter that additionally captures the simspeed

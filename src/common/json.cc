@@ -10,6 +10,13 @@
 namespace siq::json
 {
 
+namespace
+{
+
+// whole-token numeric parsing: garbage fatals, never reads as 0
+
+/** Counters are unsigned decimals, so signs (which strtoull would
+ *  silently wrap) and overflow are malformed too. */
 std::uint64_t
 parseU64(const std::string &token)
 {
@@ -48,6 +55,8 @@ parseDouble(const std::string &token)
         fatal("JSON: malformed number '", token, "'");
     return v;
 }
+
+} // namespace
 
 std::string
 quote(const std::string &s)

@@ -52,22 +52,6 @@ struct Value
  *  trailing bytes. */
 Value parse(const std::string &text);
 
-/// @name Whole-token numeric parsing (shared with CSV ingestion).
-/// @{
-
-/** strtoull with whole-token validation: garbage fatals, never 0.
- *  Counters are unsigned decimals, so signs (which strtoull would
- *  silently wrap) and overflow are malformed too. */
-std::uint64_t parseU64(const std::string &token);
-
-/** strtoll with whole-token validation (config ints may be signed). */
-std::int64_t parseI64(const std::string &token);
-
-/** strtod with whole-token and range validation. */
-double parseDouble(const std::string &token);
-
-/// @}
-
 /** JSON string literal: quote and escape @p s. */
 std::string quote(const std::string &s);
 

@@ -65,19 +65,23 @@ CompletionWheel::nextDue(std::uint64_t now) const
 
 Core::Core(const Program &prog_, const CoreConfig &config,
            IqLimitController *controller, FuncTrace *trace)
-    : prog(prog_), cfg(config), ctrl(controller), replay(trace),
-      mem(config.mem), _bpred(config.bpred), iq(config.iq),
-      lsq(config.lsq), intRegs(config.intRegs), fpRegs(config.fpRegs)
+    : prog(prog_), cfg(config), ctrl(controller), mem(config.mem),
+      _bpred(config.bpred), iq(config.iq), lsq(config.lsq),
+      intRegs(config.intRegs), fpRegs(config.fpRegs)
 {
-    if (replay != nullptr) {
-        // replaying a trace of a different program would silently
-        // simulate the wrong instruction stream
-        SIQ_ASSERT(replay->program().contentHash == prog_.contentHash,
-                   "trace/program content mismatch");
-        replayCur = TraceCursor(replay);
-    } else {
-        _exec.emplace(prog_);
+    if (trace == nullptr) {
+        // the aliasing pointer owns nothing: the caller keeps prog
+        // alive for the core's lifetime (Core(Program&&) is deleted)
+        ownTrace = std::make_unique<FuncTrace>(
+            std::shared_ptr<const Program>(
+                std::shared_ptr<const Program>(), &prog_));
+        trace = ownTrace.get();
     }
+    // replaying a trace of a different program would silently
+    // simulate the wrong instruction stream
+    SIQ_ASSERT(trace->program().contentHash == prog_.contentHash,
+               "trace/program content mismatch");
+    stream = TraceCursor(trace);
     SIQ_ASSERT(cfg.robSize > 0, "empty ROB");
     SIQ_ASSERT(cfg.fetchQueueSize > 0, "empty fetch queue");
     SIQ_ASSERT(cfg.intRegs.numPhys <= regHandleStride &&
@@ -157,7 +161,6 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
 {
     const StaticInst &si = *di.si;
     const auto &t = si.traits();
-    const StepResult &sr = di.step;
     const std::uint64_t pc = di.pc;
 
     bool mispredict = false;
@@ -171,7 +174,7 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
         _stats.condBranches++;
         const bool predTaken = _bpred.predictDirection(pc);
         const std::uint64_t btbTarget = _bpred.btbLookup(pc);
-        if (predTaken != sr.taken) {
+        if (predTaken != di.taken) {
             mispredict = true;
             if (cfg.specFrontEnd) {
                 // direct branches resolve both targets at decode, so
@@ -179,7 +182,7 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
                 const PcLoc &loc = pcIndex.at(pc);
                 const BasicBlock &blk =
                     prog.procs[loc.proc].blocks[loc.block];
-                if (sr.taken) {
+                if (di.taken) {
                     wpStart =
                         loc.instIdx + 1 <
                                 static_cast<int>(blk.insts.size())
@@ -191,12 +194,12 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
                         blockStartPc(prog, loc.proc, si.target);
                 }
             }
-        } else if (sr.taken && btbTarget != actualNext) {
+        } else if (di.taken && btbTarget != actualNext) {
             // right direction, target resolved at decode
             frontRedirect = true;
         }
-        _bpred.updateDirection(pc, sr.taken);
-        if (sr.taken)
+        _bpred.updateDirection(pc, di.taken);
+        if (di.taken)
             _bpred.btbUpdate(pc, actualNext);
     } else if (si.op == Opcode::Jump || si.op == Opcode::Call) {
         const std::uint64_t btbTarget = _bpred.btbLookup(pc);
@@ -207,7 +210,7 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
             _bpred.rasPush(rasPush);
     } else if (si.op == Opcode::Ret) {
         const std::uint64_t predicted = _bpred.rasPop();
-        if (predicted != actualNext && !sr.halted) {
+        if (predicted != actualNext && !di.halted) {
             mispredict = true;
             wpStart = predicted;
         }
@@ -470,7 +473,7 @@ Core::dispatchStage()
         const int robIdx = robTail;
         if (t.isLoad || t.isStore)
             front.lsqIdx = lsq.allocate(t.isStore,
-                                        front.step.memAddr, robIdx);
+                                        front.memAddr, robIdx);
         if (t.isStore && !front.wrongPath)
             _stats.stores++;
         if (needsIq) {
@@ -480,7 +483,7 @@ Core::dispatchStage()
         rob[robIdx] = {front.si, front.oldPdst,
                        static_cast<std::int8_t>(dstFile)};
         RobHot &h = robHot[robIdx];
-        h.memAddr = front.step.memAddr;
+        h.memAddr = front.memAddr;
         h.lsqIdx = front.lsqIdx;
         h.pdstHandle =
             dstFile >= 0 ? handleOf(dstFile, front.pdst) : -1;
@@ -530,17 +533,11 @@ Core::fetchStage()
         return;
     int fetched = 0;
     while (fetched < cfg.fetchWidth &&
-           fqCount < cfg.fetchQueueSize && !streamHalted()) {
-        // the next instruction's PC, without consuming it: the icache
-        // check below may end the fetch group before it is fetched
-        const TraceRecord *rec = nullptr;
-        std::uint64_t pc;
-        if (replay != nullptr) {
-            rec = &replayCur.at(replayIdx);
-            pc = rec->si->pc;
-        } else {
-            pc = _exec->peek().pc;
-        }
+           fqCount < cfg.fetchQueueSize && !streamHalted) {
+        // the next record, without consuming it: the icache check
+        // below may end the fetch group before it is fetched
+        const TraceRecord &rec = stream.at(streamIdx);
+        const std::uint64_t pc = rec.si->pc;
         const std::uint64_t line = pc / cfg.mem.l1i.lineBytes;
         if (line != lastFetchLine) {
             const int latency = mem.instAccess(pc);
@@ -560,45 +557,31 @@ Core::fetchStage()
         di.hintApplied = false;
         di.stallsFetch = false;
         di.wrongPath = false;
-        std::uint64_t actualNext;
-        std::uint64_t rasPush = 0;
-        if (replay != nullptr) {
-            replayIdx++;
-            di.step = StepResult{};
-            di.step.inst = rec->si;
-            di.step.taken = (rec->flags & traceFlagTaken) != 0;
-            di.step.halted = (rec->flags & traceFlagHalted) != 0;
-            const auto &rt = rec->si->traits();
-            if (rt.isLoad || rt.isStore)
-                di.step.memAddr = rec->aux;
-            else if (rec->si->op == Opcode::Call)
-                rasPush = rec->aux;
-            actualNext = rec->nextPc;
-            replayHalted = di.step.halted;
-        } else {
-            di.step = _exec->step();
-            const CtrlTargets ct = ctrlTargets(prog, di.step);
-            actualNext = ct.actualNextPc;
-            rasPush = ct.rasPushPc;
-        }
-        di.si = di.step.inst;
+        streamIdx++;
+        di.si = rec.si;
         di.seq = seqCounter++;
-        di.pc = di.si->pc;
+        di.pc = pc;
+        const auto &t = rec.si->traits();
+        // aux is the load/store address or the call's RAS push PC
+        di.memAddr = t.isLoad || t.isStore ? rec.aux : 0;
+        di.taken = (rec.flags & traceFlagTaken) != 0;
+        di.halted = (rec.flags & traceFlagHalted) != 0;
+        streamHalted = di.halted;
         di.decodeReadyCycle =
             now + static_cast<std::uint64_t>(cfg.decodeDepth);
 
         const std::uint64_t resumeBefore = fetchResumeCycle;
-        predictControl(di, actualNext, rasPush);
+        predictControl(di, rec.nextPc,
+                       rec.si->op == Opcode::Call ? rec.aux : 0);
         const bool redirected = fetchResumeCycle != resumeBefore;
-        const bool taken =
-            di.step.taken || di.si->traits().isJump;
+        const bool taken = di.taken || t.isJump;
 
         fqTail = fqTail + 1 == cfg.fetchQueueSize ? 0 : fqTail + 1;
         fqCount++;
         _stats.fetched++;
         fetched++;
 
-        if (streamHalted())
+        if (streamHalted)
             fetchDone = true;
         if (di.stallsFetch) {
             fetchBlocked = true;
@@ -661,11 +644,11 @@ Core::wrongPathFetchStage()
         di.si = loc.si;
         di.seq = seqCounter++;
         di.pc = wpPc;
-        di.step = StepResult{};
-        di.step.inst = loc.si;
         // loads/stores need an address; the architectural one does
         // not exist (the op never really executes)
-        di.step.memAddr = wrongPathMemAddr(wpPc);
+        di.memAddr = wrongPathMemAddr(wpPc);
+        di.taken = false;
+        di.halted = false;
         di.decodeReadyCycle =
             now + static_cast<std::uint64_t>(cfg.decodeDepth);
 
@@ -993,7 +976,7 @@ Core::maybeFastForward()
     // fetch: blocked states clear via completion events (bounded
     // above) or via the resume/icache timers
     if (!fetchDone && !fetchBlocked && fqCount < cfg.fetchQueueSize &&
-        !streamHalted()) {
+        !streamHalted) {
         const std::uint64_t resume =
             std::max(fetchResumeCycle, icacheReadyCycle);
         if (resume <= now)

@@ -2,15 +2,15 @@
  * @file
  * The out-of-order superscalar core (paper §3 / Table 1).
  *
- * Execute-at-fetch model: every fetched instruction is functionally
- * executed immediately (ExecContext), so values, addresses and branch
- * outcomes are oracle-known; the pipeline then models timing. On a
- * mispredicted branch, the default (oracle) front end stalls fetch
- * until the branch executes and resumes on the correct path the
- * following cycle (wrong-path instructions are not fetched — a
- * standard academic simplification that is identical across all
- * configurations; the penalty still depends on IQ sizing because
- * resolution time is simulated).
+ * Execute-at-fetch model: every fetched instruction comes off the
+ * program's functional trace (FuncTrace, DESIGN.md §11), so values,
+ * addresses and branch outcomes are oracle-known; the pipeline then
+ * models timing. On a mispredicted branch, the default (oracle)
+ * front end stalls fetch until the branch executes and resumes on
+ * the correct path the following cycle (wrong-path instructions are
+ * not fetched — a standard academic simplification that is identical
+ * across all configurations; the penalty still depends on IQ sizing
+ * because resolution time is simulated).
  *
  * With CoreConfig::specFrontEnd the front end instead keeps fetching
  * down the predicted path after a mispredict (DESIGN.md §14):
@@ -18,10 +18,9 @@
  * fetch/IQ/ROB/LSQ slots, issue and pollute the caches; when the
  * mispredicted branch completes, everything younger is squashed and
  * the checkpointed rename maps, free lists and predictor history are
- * restored. The correct-path instruction stream (interpreter or
- * trace cursor) is never advanced by wrong-path fetch, so
- * architectural results are unchanged — only timing and power see
- * the speculation.
+ * restored. The correct-path instruction stream (the trace cursor)
+ * is never advanced by wrong-path fetch, so architectural results
+ * are unchanged — only timing and power see the speculation.
  *
  * Per-cycle stage order (reverse pipeline order so same-cycle
  * wakeup+select works as in the paper's figure 1, where producers
@@ -43,7 +42,7 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -53,7 +52,6 @@
 #include "cpu/regfile.hh"
 #include "cpu/resize.hh"
 #include "cpu/trace.hh"
-#include "ir/exec.hh"
 #include "ir/program.hh"
 #include "mem/cache.hh"
 
@@ -172,7 +170,9 @@ struct DynInst
     const StaticInst *si = nullptr;
     std::uint64_t seq = 0;
     std::uint64_t pc = 0;
-    StepResult step;
+    std::uint64_t memAddr = 0; ///< word address for loads/stores
+    bool taken = false;        ///< conditional branch outcome
+    bool halted = false;       ///< the program ended here
     int dstFile = -1; ///< 0 int, 1 fp, -1 none
     int pdst = -1;
     int oldPdst = -1;
@@ -319,12 +319,10 @@ class Core
      * @param controller optional hardware resize heuristic (owned by
      *        the caller; pass nullptr for the baseline and the
      *        compiler-hint configurations)
-     * @param trace optional functional trace of an identical program
-     *        (equal contentHash). When given, the fetch stage replays
-     *        trace records instead of stepping the interpreter — no
-     *        functional register file or memory image is built, every
-     *        architectural counter stays byte-identical, and exec()
-     *        must not be called. The trace must outlive the core.
+     * @param trace optional shared functional trace of an identical
+     *        program (equal contentHash), possibly already extended by
+     *        other cores; it must outlive the core. Without one the
+     *        core produces a private trace of @p prog.
      */
     Core(const Program &prog, const CoreConfig &config,
          IqLimitController *controller = nullptr,
@@ -355,9 +353,6 @@ class Core
     const RegFile &fpRegFile() const { return fpRegs; }
     MemHierarchy &memory() { return mem; }
     Bpred &bpred() { return _bpred; }
-    /** The interpreter's architectural state. Interpreting cores
-     *  only — a replaying core has none. */
-    const ExecContext &exec() const { return *_exec; }
     std::uint64_t cycle() const { return now; }
 
     /// @name Occupancy accessors (squash-recovery invariant tests).
@@ -398,14 +393,6 @@ class Core
      * unless idleness is structurally proven.
      */
     void maybeFastForward();
-
-    /** The functional stream is exhausted (interpreter halted, or the
-     *  replay cursor consumed the halt record). */
-    bool
-    streamHalted() const
-    {
-        return replay != nullptr ? replayHalted : _exec->halted();
-    }
 
     void predictControl(DynInst &di, std::uint64_t actualNextPc,
                         std::uint64_t rasPushPc);
@@ -463,13 +450,12 @@ class Core
     CoreConfig cfg;
     IqLimitController *ctrl;
 
-    /** Functional source: the interpreter (direct mode) or a trace
-     *  cursor (replay mode); exactly one is active. */
-    std::optional<ExecContext> _exec;
-    FuncTrace *replay;
-    TraceCursor replayCur;
-    std::uint64_t replayIdx = 0;
-    bool replayHalted = false;
+    /** The functional stream: a cursor over the caller's shared
+     *  trace, or over ownTrace when the caller passed none. */
+    std::unique_ptr<FuncTrace> ownTrace;
+    TraceCursor stream;
+    std::uint64_t streamIdx = 0;
+    bool streamHalted = false; ///< the halt record was fetched
 
     MemHierarchy mem;
     Bpred _bpred;

@@ -13,10 +13,9 @@
  * model consumes from the interpreter (the static instruction, the
  * branch outcome, the effective address, the resolved next PC and
  * the return-address-stack push value), in fixed-width 24-byte
- * records held in chunked arena storage. Replaying a trace through
- * Core::fetchStage reproduces every architectural counter
- * byte-for-byte while skipping opcode dispatch and functional memory
- * entirely.
+ * records held in chunked arena storage. The trace is the core's only
+ * functional input: Core::fetchStage reads its records, from a trace
+ * shared across cells or, for a standalone core, from a private one.
  *
  * Traces grow lazily: a replaying core's cursor requests records by
  * index, and the producer steps the interpreter just far enough to
@@ -71,9 +70,8 @@ static_assert(sizeof(TraceRecord) == 24,
 
 /**
  * The control-prediction inputs derived from one step of the
- * interpreter. Both the live (interpreting) fetch path and the trace
- * producer compute them through this one function, so a replayed
- * front-end sees bit-identical prediction inputs by construction.
+ * interpreter: what the trace producer stores in a record's nextPc
+ * and (for calls) aux fields.
  */
 struct CtrlTargets
 {

@@ -3,10 +3,10 @@
  * Functional interpreter for siqsim programs.
  *
  * The cycle-level core uses an execute-at-fetch model: every fetched
- * instruction is stepped through this interpreter immediately, so
- * values, memory addresses and branch outcomes are known at fetch and
- * identical under every timing configuration. Tests assert that
- * property.
+ * instruction comes off a functional trace (cpu/trace.hh) this
+ * interpreter produced, so values, memory addresses and branch
+ * outcomes are known at fetch and identical under every timing
+ * configuration. Tests assert that property.
  */
 
 #ifndef SIQ_IR_EXEC_HH
@@ -48,18 +48,6 @@ class ExecContext
 
     /** Execute the next instruction in program order. */
     StepResult step();
-
-    /**
-     * The instruction step() would execute next, without executing
-     * it. Only valid while !halted(); the fetch stage uses it to
-     * read the next PC without re-resolving (proc, block, instIdx)
-     * through three vector indirections.
-     */
-    const StaticInst &
-    peek() const
-    {
-        return curBlk->insts[static_cast<std::size_t>(instIdx)];
-    }
 
     bool halted() const { return _halted; }
     std::uint64_t instsExecuted() const { return _instsExecuted; }

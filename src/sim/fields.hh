@@ -1,9 +1,10 @@
 /**
  * @file
  * Every counter of the measurement structs, listed once, so the
- * JSON/CSV writers and readers, the determinism comparison
+ * JSON/CSV writers, the JSON reader, the determinism comparison
  * (identicalMeasurement) and the replication aggregates
- * (CellAggregate) can never drift apart field-wise.
+ * (CellAggregate) can never drift apart field-wise; likewise every
+ * serialized field of the spec's config structs.
  */
 
 #ifndef SIQ_SIM_FIELDS_HH
@@ -51,5 +52,48 @@
  */
 #define SIQ_RUN_TIMING_FIELDS(X)                                         \
     X(generateSeconds) X(traceSeconds) X(compileSeconds)
+
+/**
+ * The config structs a sweep spec serializes (writeSpecJson), each
+ * listed in JSON key order. One generic writer and reader per value
+ * kind walk these lists (sim/report.cc), so a new config field is one
+ * list entry. Key order is the spec's byte format: checkpoint
+ * spec.json files and serve requests depend on it, and
+ * tests/test_checkpoint.cc pins the bytes. CoreConfig::specFrontEnd
+ * is the one field written only when set.
+ */
+#define SIQ_CACHE_CONFIG_FIELDS(X)                                       \
+    X(name) X(sizeBytes) X(assoc) X(lineBytes) X(hitLatency)
+
+#define SIQ_REG_FILE_CONFIG_FIELDS(X) X(numPhys) X(numArch) X(bankSize)
+
+#define SIQ_IQ_CONFIG_FIELDS(X) X(numEntries) X(bankSize)
+
+#define SIQ_LSQ_CONFIG_FIELDS(X) X(numEntries)
+
+#define SIQ_BPRED_CONFIG_FIELDS(X)                                       \
+    X(gshareEntries) X(bimodalEntries) X(selectorEntries)                \
+    X(btbEntries) X(btbAssoc) X(rasEntries)
+
+#define SIQ_MEM_HIERARCHY_CONFIG_FIELDS(X) X(l1i) X(l1d) X(l2) X(memLatency)
+
+#define SIQ_CORE_CONFIG_FIELDS(X)                                        \
+    X(fetchWidth) X(dispatchWidth) X(issueWidth) X(commitWidth)          \
+    X(decodeDepth) X(fetchQueueSize) X(robSize) X(iq) X(lsq)             \
+    X(intRegs) X(fpRegs) X(fuCounts) X(bpred) X(specFrontEnd) X(mem)
+
+#define SIQ_WORKLOAD_PARAMS_FIELDS(X) X(scale) X(repDivisor) X(seed)
+
+#define SIQ_ABELLA_CONFIG_FIELDS(X)                                      \
+    X(iqSize) X(robSize) X(portion) X(minIq) X(robFloor)                 \
+    X(intervalCycles) X(slackPortions) X(stallFractionToGrow)
+
+#define SIQ_FOLEGNANI_CONFIG_FIELDS(X)                                   \
+    X(iqSize) X(portion) X(minSize) X(intervalCycles)                    \
+    X(contributionThreshold) X(expandPeriod)
+
+#define SIQ_RUN_CONFIG_FIELDS(X)                                         \
+    X(workload) X(warmupInsts) X(measureInsts) X(minHint)                \
+    X(elideRedundant) X(unrollFactor) X(core) X(abella) X(folegnani)
 
 #endif // SIQ_SIM_FIELDS_HH

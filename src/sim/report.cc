@@ -1,9 +1,13 @@
 #include "sim/report.hh"
 
+#include <array>
+#include <charconv>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hh"
@@ -20,8 +24,6 @@ namespace
 // the JSON tree/parser and the whole-token numeric validators live in
 // common/json (shared with the serve daemon's request parsing)
 using JsonValue = json::Value;
-using json::parseDouble;
-using json::parseU64;
 using json::quote;
 
 std::string
@@ -319,8 +321,7 @@ readJson(std::istream &is)
     }
 
     // SweepResult::at() assumes a complete technique-major matrix;
-    // reject filtered, reordered or hand-edited cell arrays (the
-    // same defence readCsv applies to row sets)
+    // reject filtered, reordered or hand-edited cell arrays
     const std::size_t nb = result.benchmarks.size();
     if (result.cells.size() != nb * result.techniques.size())
         fatal("report JSON: cell count does not match the matrix");
@@ -420,339 +421,135 @@ writeCsv(std::ostream &os, const SweepResult &result)
     }
 }
 
-SweepResult
-readCsv(std::istream &is)
-{
-    auto split = [](const std::string &line) {
-        std::vector<std::string> cells;
-        std::string cur;
-        for (char c : line) {
-            if (c == ',') {
-                cells.push_back(cur);
-                cur.clear();
-            } else {
-                cur += c;
-            }
-        }
-        cells.push_back(cur);
-        return cells;
-    };
-
-    std::string line;
-    if (!std::getline(is, line))
-        fatal("report CSV: empty input");
-    const std::vector<std::string> headers = split(line);
-    std::map<std::string, std::size_t> col;
-    for (std::size_t i = 0; i < headers.size(); i++)
-        col[headers[i]] = i;
-    auto need = [&](const std::string &name) {
-        auto it = col.find(name);
-        if (it == col.end())
-            fatal("report CSV: missing column '", name, "'");
-        return it->second;
-    };
-
-    const bool agg = col.find("n") != col.end();
-    // spec-mode CSVs (real front end) carry the speculation columns;
-    // oracle-mode ones omit them entirely
-    const bool spec = col.find("stats_wrongPathFetched") != col.end();
-
-    SweepResult result;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        const std::vector<std::string> cells = split(line);
-        if (cells.size() != headers.size())
-            fatal("report CSV: row width mismatch");
-        auto u64 = [&](const std::string &name) {
-            return parseU64(cells[need(name)]);
-        };
-        auto dbl = [&](const std::string &name) {
-            return parseDouble(cells[need(name)]);
-        };
-        RunResult r;
-        r.benchmark = cells[need("benchmark")];
-        r.technique = cells[need("technique")];
-        const std::string &family = cells[need("family")];
-        const auto tech = techniqueFromName(family);
-        if (!tech)
-            fatal("report CSV: unknown technique family '", family,
-                  "'");
-        r.tech = *tech;
-        r.generateSeconds = dbl("generateSeconds");
-        // optional: pre-v6 CSVs predate trace replay
-        if (col.find("traceSeconds") != col.end())
-            r.traceSeconds = dbl("traceSeconds");
-        r.compileSeconds = dbl("compileSeconds");
-        r.compile.seconds = r.compileSeconds;
-#define X(f) r.stats.f = u64("stats_" #f);
-        SIQ_CORE_STATS_FIELDS(X)
-        if (spec) {
-            SIQ_CORE_SPEC_STATS_FIELDS(X)
-        }
-#undef X
-#define X(f) r.iq.f = u64("iq_" #f);
-        SIQ_IQ_EVENT_FIELDS(X)
-#undef X
-#define X(f)                                                             \
-    r.compile.f = static_cast<std::size_t>(u64("compile_" #f));
-        SIQ_COMPILE_STATS_FIELDS(X)
-#undef X
-        result.cells.push_back(std::move(r));
-
-        if (agg) {
-            CellAggregate a;
-            auto metric = [&](const std::string &base) {
-                MetricAggregate m;
-                m.mean = dbl(base + "_mean");
-                m.stddev = dbl(base + "_stddev");
-                m.ci95 = dbl(base + "_ci95");
-                return m;
-            };
-            a.n = u64("n");
-            a.ipc = metric("ipc");
-#define X(f) a.stats_##f = metric("stats_" #f);
-            SIQ_CORE_STATS_FIELDS(X)
-            if (spec) {
-                SIQ_CORE_SPEC_STATS_FIELDS(X)
-            }
-#undef X
-#define X(f) a.iq_##f = metric("iq_" #f);
-            SIQ_IQ_EVENT_FIELDS(X)
-#undef X
-            if (!result.aggregates.empty() &&
-                result.aggregates.front().n != a.n)
-                fatal("report CSV: inconsistent replica count n");
-            result.aggregates.push_back(a);
-        }
-
-        const auto &added = result.cells.back();
-        bool haveBench = false;
-        for (const auto &b : result.benchmarks)
-            haveBench = haveBench || b == added.benchmark;
-        if (!haveBench)
-            result.benchmarks.push_back(added.benchmark);
-        bool haveTech = false;
-        for (const auto &t : result.techniques)
-            haveTech = haveTech || t == added.technique;
-        if (!haveTech)
-            result.techniques.push_back(added.technique);
-    }
-
-    if (!result.aggregates.empty())
-        result.seeds = static_cast<int>(result.aggregates.front().n);
-
-    // SweepResult::at() assumes a complete technique-major matrix;
-    // reject filtered, reordered or hand-edited row sets
-    const std::size_t nb = result.benchmarks.size();
-    if (result.cells.size() != nb * result.techniques.size())
-        fatal("report CSV: cell count does not match the matrix");
-    for (std::size_t i = 0; i < result.cells.size(); i++) {
-        const RunResult &r = result.cells[i];
-        if (r.benchmark != result.benchmarks[i % nb] ||
-            r.technique != result.techniques[i / nb])
-            fatal("report CSV: rows are not in technique-major "
-                  "matrix order (row ", i + 2, ")");
-    }
-    return result;
-}
-
 namespace
 {
 
 // -------------------------------------------------- spec (de)serial
 
+// Field visitors over the spec's config structs (sim/fields.hh): fn
+// sees each serialized member, with its key, in key order.
+#define SIQ_VISIT_FIELD(f) fn(#f, c.f);
+#define SIQ_FIELD_VISITOR(Type, LIST)                                    \
+    template <class Fn>                                                  \
+    void forEachField(const Type &c, Fn &&fn)                            \
+    {                                                                    \
+        LIST(SIQ_VISIT_FIELD)                                            \
+    }                                                                    \
+    template <class Fn>                                                  \
+    void forEachField(Type &c, Fn &&fn)                                  \
+    {                                                                    \
+        LIST(SIQ_VISIT_FIELD)                                            \
+    }
+SIQ_FIELD_VISITOR(CacheConfig, SIQ_CACHE_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(RegFileConfig, SIQ_REG_FILE_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(IqConfig, SIQ_IQ_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(LsqConfig, SIQ_LSQ_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(BpredConfig, SIQ_BPRED_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(MemHierarchyConfig, SIQ_MEM_HIERARCHY_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(CoreConfig, SIQ_CORE_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(workloads::WorkloadParams, SIQ_WORKLOAD_PARAMS_FIELDS)
+SIQ_FIELD_VISITOR(AbellaConfig, SIQ_ABELLA_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(FolegnaniConfig, SIQ_FOLEGNANI_CONFIG_FIELDS)
+SIQ_FIELD_VISITOR(RunConfig, SIQ_RUN_CONFIG_FIELDS)
+#undef SIQ_FIELD_VISITOR
+#undef SIQ_VISIT_FIELD
+
+/** The one field written only when true, so oracle-mode specs (and
+ *  the determinism-pin digest over exports embedding them) keep the
+ *  bytes they had before the speculative front end existed. */
+constexpr std::string_view emitOnlyWhenTrue = "specFrontEnd";
+
+template <class T>
+constexpr bool isBool = std::is_same_v<std::remove_cvref_t<T>, bool>;
+
+template <class T>
+constexpr bool isArray = false;
+template <class T, std::size_t N>
+constexpr bool isArray<std::array<T, N>> = true;
+
+/** Append one spec value as JSON, one branch per value kind; a
+ *  nested config struct is an object in field-list order. Appends
+ *  to a string, not a stream: the spec is serialized on the serve
+ *  request path. */
+template <class T>
 void
-appendCacheConfigJson(std::ostream &os, const CacheConfig &c)
+writeValue(std::string &out, const T &v)
 {
-    os << "{\"name\":" << quote(c.name) << ",\"sizeBytes\":"
-       << c.sizeBytes << ",\"assoc\":" << c.assoc << ",\"lineBytes\":"
-       << c.lineBytes << ",\"hitLatency\":" << c.hitLatency << "}";
+    if constexpr (std::is_same_v<T, bool>) {
+        out += v ? "true" : "false";
+    } else if constexpr (std::is_same_v<T, double>) {
+        out += fmtDouble(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out += quote(v);
+    } else if constexpr (std::is_integral_v<T>) {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    } else if constexpr (isArray<T>) {
+        for (std::size_t i = 0; i < v.size(); i++) {
+            out += i ? ',' : '[';
+            writeValue(out, v[i]);
+        }
+        out += ']';
+    } else {
+        char sep = '{';
+        forEachField(v, [&](const char *key, const auto &f) {
+            if constexpr (isBool<decltype(f)>) {
+                if (!f && key == emitOnlyWhenTrue)
+                    return;
+            }
+            out += sep;
+            out += '"';
+            out += key;
+            out += "\":";
+            writeValue(out, f);
+            sep = ',';
+        });
+        out += '}';
+    }
 }
 
-CacheConfig
-cacheConfigFromJson(const JsonValue &v)
-{
-    CacheConfig c;
-    c.name = v.at("name").asString();
-    c.sizeBytes = static_cast<std::uint32_t>(v.at("sizeBytes").asU64());
-    c.assoc = static_cast<std::uint32_t>(v.at("assoc").asU64());
-    c.lineBytes = static_cast<std::uint32_t>(v.at("lineBytes").asU64());
-    c.hitLatency = v.at("hitLatency").asInt();
-    return c;
-}
-
+/** Inverse of writeValue; fatal on a missing key, a kind mismatch or
+ *  an out-of-range number. */
+template <class T>
 void
-appendRegFileConfigJson(std::ostream &os, const RegFileConfig &c)
+readValue(const JsonValue &j, T &out)
 {
-    os << "{\"numPhys\":" << c.numPhys << ",\"numArch\":" << c.numArch
-       << ",\"bankSize\":" << c.bankSize << "}";
+    if constexpr (std::is_same_v<T, int>) {
+        out = j.asInt();
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+        // range-checked, never truncated: 2^32 + 512 must not
+        // configure a 512-entry table
+        const std::uint64_t v = j.asU64();
+        if (v > std::numeric_limits<std::uint32_t>::max())
+            fatal("spec JSON: value out of 32-bit range: ", j.token);
+        out = static_cast<std::uint32_t>(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        out = j.asU64();
+    } else if constexpr (std::is_same_v<T, double>) {
+        out = j.asDouble();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out = j.asBool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out = j.asString();
+    } else if constexpr (isArray<T>) {
+        if (j.array.size() != out.size())
+            fatal("spec JSON: expected an array of ", out.size(),
+                  " entries, got ", j.array.size());
+        for (std::size_t i = 0; i < out.size(); i++)
+            readValue(j.array[i], out[i]);
+    } else {
+        forEachField(out, [&](const char *key, auto &f) {
+            if constexpr (isBool<decltype(f)>) {
+                if (key == emitOnlyWhenTrue) {
+                    if (const JsonValue *fj = j.find(key))
+                        readValue(*fj, f);
+                    return;
+                }
+            }
+            readValue(j.at(key), f);
+        });
+    }
 }
-
-RegFileConfig
-regFileConfigFromJson(const JsonValue &v)
-{
-    RegFileConfig c;
-    c.numPhys = v.at("numPhys").asInt();
-    c.numArch = v.at("numArch").asInt();
-    c.bankSize = v.at("bankSize").asInt();
-    return c;
-}
-
-void
-appendCoreConfigJson(std::ostream &os, const CoreConfig &c)
-{
-    os << "{\"fetchWidth\":" << c.fetchWidth
-       << ",\"dispatchWidth\":" << c.dispatchWidth
-       << ",\"issueWidth\":" << c.issueWidth
-       << ",\"commitWidth\":" << c.commitWidth
-       << ",\"decodeDepth\":" << c.decodeDepth
-       << ",\"fetchQueueSize\":" << c.fetchQueueSize
-       << ",\"robSize\":" << c.robSize
-       << ",\"iq\":{\"numEntries\":" << c.iq.numEntries
-       << ",\"bankSize\":" << c.iq.bankSize << "}"
-       << ",\"lsq\":{\"numEntries\":" << c.lsq.numEntries << "}"
-       << ",\"intRegs\":";
-    appendRegFileConfigJson(os, c.intRegs);
-    os << ",\"fpRegs\":";
-    appendRegFileConfigJson(os, c.fpRegs);
-    os << ",\"fuCounts\":[";
-    for (std::size_t i = 0; i < c.fuCounts.size(); i++)
-        os << (i ? "," : "") << c.fuCounts[i];
-    os << "],\"bpred\":{\"gshareEntries\":" << c.bpred.gshareEntries
-       << ",\"bimodalEntries\":" << c.bpred.bimodalEntries
-       << ",\"selectorEntries\":" << c.bpred.selectorEntries
-       << ",\"btbEntries\":" << c.bpred.btbEntries
-       << ",\"btbAssoc\":" << c.bpred.btbAssoc
-       << ",\"rasEntries\":" << c.bpred.rasEntries << "}";
-    // present only when enabled, so oracle-mode exports (and the
-    // determinism-pin digest over them) keep their historical bytes
-    if (c.specFrontEnd)
-        os << ",\"specFrontEnd\":true";
-    os << ",\"mem\":{\"l1i\":";
-    appendCacheConfigJson(os, c.mem.l1i);
-    os << ",\"l1d\":";
-    appendCacheConfigJson(os, c.mem.l1d);
-    os << ",\"l2\":";
-    appendCacheConfigJson(os, c.mem.l2);
-    os << ",\"memLatency\":" << c.mem.memLatency << "}}";
-}
-
-CoreConfig
-coreConfigFromJson(const JsonValue &v)
-{
-    CoreConfig c;
-    c.fetchWidth = v.at("fetchWidth").asInt();
-    c.dispatchWidth = v.at("dispatchWidth").asInt();
-    c.issueWidth = v.at("issueWidth").asInt();
-    c.commitWidth = v.at("commitWidth").asInt();
-    c.decodeDepth = v.at("decodeDepth").asInt();
-    c.fetchQueueSize = v.at("fetchQueueSize").asInt();
-    c.robSize = v.at("robSize").asInt();
-    c.iq.numEntries = v.at("iq").at("numEntries").asInt();
-    c.iq.bankSize = v.at("iq").at("bankSize").asInt();
-    c.lsq.numEntries = v.at("lsq").at("numEntries").asInt();
-    c.intRegs = regFileConfigFromJson(v.at("intRegs"));
-    c.fpRegs = regFileConfigFromJson(v.at("fpRegs"));
-    const JsonValue &fu = v.at("fuCounts");
-    if (fu.array.size() != c.fuCounts.size())
-        fatal("spec JSON: fuCounts must have ", c.fuCounts.size(),
-              " entries, got ", fu.array.size());
-    for (std::size_t i = 0; i < c.fuCounts.size(); i++)
-        c.fuCounts[i] = fu.array[i].asInt();
-    const JsonValue &bp = v.at("bpred");
-    c.bpred.gshareEntries =
-        static_cast<std::uint32_t>(bp.at("gshareEntries").asU64());
-    c.bpred.bimodalEntries =
-        static_cast<std::uint32_t>(bp.at("bimodalEntries").asU64());
-    c.bpred.selectorEntries =
-        static_cast<std::uint32_t>(bp.at("selectorEntries").asU64());
-    c.bpred.btbEntries =
-        static_cast<std::uint32_t>(bp.at("btbEntries").asU64());
-    c.bpred.btbAssoc =
-        static_cast<std::uint32_t>(bp.at("btbAssoc").asU64());
-    c.bpred.rasEntries =
-        static_cast<std::uint32_t>(bp.at("rasEntries").asU64());
-    if (const JsonValue *sfe = v.find("specFrontEnd"))
-        c.specFrontEnd = sfe->asBool();
-    const JsonValue &mem = v.at("mem");
-    c.mem.l1i = cacheConfigFromJson(mem.at("l1i"));
-    c.mem.l1d = cacheConfigFromJson(mem.at("l1d"));
-    c.mem.l2 = cacheConfigFromJson(mem.at("l2"));
-    c.mem.memLatency = mem.at("memLatency").asInt();
-    return c;
-}
-
-void
-appendRunConfigJson(std::ostream &os, const RunConfig &cfg)
-{
-    os << "{\"workload\":{\"scale\":" << cfg.workload.scale
-       << ",\"repDivisor\":" << cfg.workload.repDivisor
-       << ",\"seed\":" << cfg.workload.seed << "}"
-       << ",\"warmupInsts\":" << cfg.warmupInsts
-       << ",\"measureInsts\":" << cfg.measureInsts
-       << ",\"minHint\":" << cfg.minHint
-       << ",\"elideRedundant\":"
-       << (cfg.elideRedundant ? "true" : "false")
-       << ",\"unrollFactor\":" << cfg.unrollFactor << ",\"core\":";
-    appendCoreConfigJson(os, cfg.core);
-    os << ",\"abella\":{\"iqSize\":" << cfg.abella.iqSize
-       << ",\"robSize\":" << cfg.abella.robSize
-       << ",\"portion\":" << cfg.abella.portion
-       << ",\"minIq\":" << cfg.abella.minIq
-       << ",\"robFloor\":" << cfg.abella.robFloor
-       << ",\"intervalCycles\":" << cfg.abella.intervalCycles
-       << ",\"slackPortions\":" << cfg.abella.slackPortions
-       << ",\"stallFractionToGrow\":"
-       << fmtDouble(cfg.abella.stallFractionToGrow) << "}"
-       << ",\"folegnani\":{\"iqSize\":" << cfg.folegnani.iqSize
-       << ",\"portion\":" << cfg.folegnani.portion
-       << ",\"minSize\":" << cfg.folegnani.minSize
-       << ",\"intervalCycles\":" << cfg.folegnani.intervalCycles
-       << ",\"contributionThreshold\":"
-       << cfg.folegnani.contributionThreshold
-       << ",\"expandPeriod\":" << cfg.folegnani.expandPeriod << "}}";
-}
-
-RunConfig
-runConfigFromJson(const JsonValue &v)
-{
-    RunConfig cfg;
-    const JsonValue &w = v.at("workload");
-    cfg.workload.scale = w.at("scale").asInt();
-    cfg.workload.repDivisor = w.at("repDivisor").asInt();
-    cfg.workload.seed = w.at("seed").asU64();
-    cfg.warmupInsts = v.at("warmupInsts").asU64();
-    cfg.measureInsts = v.at("measureInsts").asU64();
-    cfg.minHint = v.at("minHint").asInt();
-    cfg.elideRedundant = v.at("elideRedundant").asBool();
-    cfg.unrollFactor = v.at("unrollFactor").asInt();
-    cfg.core = coreConfigFromJson(v.at("core"));
-    const JsonValue &ab = v.at("abella");
-    cfg.abella.iqSize = ab.at("iqSize").asInt();
-    cfg.abella.robSize = ab.at("robSize").asInt();
-    cfg.abella.portion = ab.at("portion").asInt();
-    cfg.abella.minIq = ab.at("minIq").asInt();
-    cfg.abella.robFloor = ab.at("robFloor").asInt();
-    cfg.abella.intervalCycles = ab.at("intervalCycles").asU64();
-    cfg.abella.slackPortions = ab.at("slackPortions").asInt();
-    cfg.abella.stallFractionToGrow =
-        ab.at("stallFractionToGrow").asDouble();
-    const JsonValue &fo = v.at("folegnani");
-    cfg.folegnani.iqSize = fo.at("iqSize").asInt();
-    cfg.folegnani.portion = fo.at("portion").asInt();
-    cfg.folegnani.minSize = fo.at("minSize").asInt();
-    cfg.folegnani.intervalCycles = fo.at("intervalCycles").asU64();
-    cfg.folegnani.contributionThreshold =
-        fo.at("contributionThreshold").asU64();
-    cfg.folegnani.expandPeriod = fo.at("expandPeriod").asInt();
-    return cfg;
-}
-
-} // namespace
-
-namespace
-{
 
 /** One benchmark-axis entry: the structured WorkloadSpec form.
  *  "params" is present only when overrides exist, so parameterless
@@ -807,10 +604,10 @@ writeSpecJson(std::ostream &os, const SweepSpec &spec)
     os << "],\"techniques\":[";
     for (std::size_t i = 0; i < spec.techniques.size(); i++)
         os << (i ? "," : "") << quote(spec.techniques[i]);
+    std::string base;
+    writeValue(base, spec.base);
     os << "],\"jobs\":" << spec.jobs << ",\"seeds\":" << spec.seeds
-       << ",\n\"base\":";
-    appendRunConfigJson(os, spec.base);
-    os << "}\n";
+       << ",\n\"base\":" << base << "}\n";
 }
 
 std::string
@@ -833,7 +630,7 @@ specFromJson(const json::Value &root)
     spec.seeds = root.at("seeds").asInt();
     if (spec.seeds < 0)
         fatal("spec JSON: seeds must be >= 0, got ", spec.seeds);
-    spec.base = runConfigFromJson(root.at("base"));
+    readValue(root.at("base"), spec.base);
     for (const auto &t : spec.techniques) {
         if (findTechnique(t) == nullptr)
             fatal("spec JSON: unknown technique '", t, "'");

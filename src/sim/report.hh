@@ -1,15 +1,16 @@
 /**
  * @file
  * Structured (de)serialization for the experiment engine: JSON and
- * CSV emitters (and matching readers) for RunResult matrices, the
- * paper's PowerComparison savings, declarative SweepSpec grids, and
- * per-cell checkpoint payloads — so figure data, experiment specs
- * and partial-run state can all leave the process machine-readably.
+ * CSV emitters for RunResult matrices, the paper's PowerComparison
+ * savings, declarative SweepSpec grids, and per-cell checkpoint
+ * payloads — so figure data, experiment specs and partial-run state
+ * can all leave the process machine-readably. JSON is the one format
+ * read back; CSV is write-only, for spreadsheets and plotting.
  *
  * Round-trip guarantee: integer counters are emitted verbatim and
- * doubles with 17 significant digits, so writeJson → readJson (and
- * writeCsv → readCsv, writeSpecJson → readSpecJson) reproduces every
- * field bit-exactly.
+ * doubles with 17 significant digits, so writeJson → readJson and
+ * writeSpecJson → readSpecJson reproduce every field bit-exactly, and
+ * a CSV row carries the same digits as its JSON cell.
  */
 
 #ifndef SIQ_SIM_REPORT_HH
@@ -55,11 +56,6 @@ SweepResult readJson(std::istream &is);
  *  `<metric>_stddev` and `<metric>_ci95` columns per metric;
  *  seeds == 1 output keeps the unreplicated column set. */
 void writeCsv(std::ostream &os, const SweepResult &result);
-
-/** Parse writeCsv output. The benchmark/technique axes are rebuilt
- *  from the rows in first-appearance order; cache counters are not
- *  part of the CSV and come back zero. Fatal on malformed input. */
-SweepResult readCsv(std::istream &is);
 
 /**
  * Per-cell power savings vs the named baseline technique (which must

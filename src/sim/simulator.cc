@@ -91,8 +91,6 @@ runOne(const std::string &benchmark, const std::string &technique,
             compileStats = compiler::annotate(prog, *cc);
     }
 
-    // runOne deliberately stays direct-interpreting: it is the serial
-    // reference the trace-replay equivalence tests compare against
     RunResult result = simulateProgram(prog, *def, cellCfg);
     result.benchmark = benchmark;
     result.generateSeconds = generateSeconds;

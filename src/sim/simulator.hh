@@ -127,9 +127,9 @@ compilerConfigFor(Technique tech, const RunConfig &cfg);
  * technique's controller. This is the single simulation path shared
  * by serial runOne and the threaded sweep engine; the caller fills in
  * workload/compile metadata on the returned result. When @p trace is
- * non-null the core replays the shared functional trace instead of
- * interpreting (@p prog must be content-identical to the trace's
- * program); timing and every counter are byte-identical either way.
+ * non-null the core replays that shared functional trace (@p prog
+ * must be content-identical to the trace's program), otherwise a
+ * private one; every counter is byte-identical either way.
  *
  * Cost model: constructing the Core allocates every arena the tick
  * loop needs (ROB + dense per-entry arrays, completion wheel, fetch

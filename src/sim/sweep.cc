@@ -123,14 +123,6 @@ class ProgramCache
         map;
 };
 
-/** SIQSIM_TRACE toggles trace replay; default on, "0" disables. */
-bool
-traceEnabledFromEnv()
-{
-    const char *v = std::getenv("SIQSIM_TRACE");
-    return v == nullptr || std::string(v) != "0";
-}
-
 std::uint64_t
 traceCapBytesFromEnv()
 {
@@ -220,11 +212,15 @@ trySeedsFromEnv()
 
 struct ExperimentRunner::Impl
 {
+    explicit Impl(int jobs)
+        : defaultJobs(jobs), traces(traceCapBytesFromEnv())
+    {
+    }
+
     int defaultJobs;
     ProgramCache workloads;
     ProgramCache compiled;
-    /** Null when SIQSIM_TRACE=0 (cells interpret directly). */
-    std::unique_ptr<TraceCache> traces;
+    TraceCache traces;
     std::atomic<std::uint64_t> workloadBuilds{0};
     std::atomic<std::uint64_t> workloadHits{0};
     std::atomic<std::uint64_t> compileBuilds{0};
@@ -273,18 +269,14 @@ ExperimentRunner::Impl::runCell(const CellKey &key,
         }
     }
 
-    RunResult result;
-    if (traces != nullptr) {
-        const std::shared_ptr<FuncTrace> trace = traces->get(toRun.prog);
-        // attribute to this cell whatever frontier growth its replay
-        // triggers (approximate under concurrent sharing — metadata,
-        // not a measurement; canonicalize() zeroes it)
-        const double t0 = trace->produceSeconds();
-        result = simulateProgram(*toRun.prog, def, cfg, trace.get());
-        result.traceSeconds = trace->produceSeconds() - t0;
-    } else {
-        result = simulateProgram(*toRun.prog, def, cfg);
-    }
+    const std::shared_ptr<FuncTrace> trace = traces.get(toRun.prog);
+    // attribute to this cell whatever frontier growth its replay
+    // triggers (approximate under concurrent sharing — metadata, not
+    // a measurement; canonicalize() zeroes it)
+    const double t0 = trace->produceSeconds();
+    RunResult result =
+        simulateProgram(*toRun.prog, def, cfg, trace.get());
+    result.traceSeconds = trace->produceSeconds() - t0;
     result.benchmark = key.benchmark;
     result.generateSeconds = raw.buildSeconds;
     result.compile = toRun.compile;
@@ -293,13 +285,8 @@ ExperimentRunner::Impl::runCell(const CellKey &key,
 }
 
 ExperimentRunner::ExperimentRunner(int jobs)
-    : impl(std::make_unique<Impl>())
+    : impl(std::make_unique<Impl>(jobs))
 {
-    impl->defaultJobs = jobs;
-    if (traceEnabledFromEnv()) {
-        impl->traces =
-            std::make_unique<TraceCache>(traceCapBytesFromEnv());
-    }
 }
 
 ExperimentRunner::~ExperimentRunner() = default;
@@ -312,12 +299,10 @@ ExperimentRunner::cacheStats() const
     s.workloadHits = impl->workloadHits.load();
     s.compileBuilds = impl->compileBuilds.load();
     s.compileHits = impl->compileHits.load();
-    if (impl->traces != nullptr) {
-        s.traceBuilds = impl->traces->builds();
-        s.traceHits = impl->traces->hits();
-        s.traceEvicted = impl->traces->evicted();
-        s.traceBytes = impl->traces->residentBytes();
-    }
+    s.traceBuilds = impl->traces.builds();
+    s.traceHits = impl->traces.hits();
+    s.traceEvicted = impl->traces.evicted();
+    s.traceBytes = impl->traces.residentBytes();
     return s;
 }
 

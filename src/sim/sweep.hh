@@ -15,7 +15,7 @@
  *    hash — the interpreter runs once per distinct program and every
  *    cell replays the shared trace, byte-identical by construction.
  *    Bounded by SIQSIM_TRACE_CACHE_MB (LRU eviction of unreferenced
- *    traces); SIQSIM_TRACE=0 disables replay entirely (DESIGN.md §11).
+ *    traces; DESIGN.md §11).
  *
  * Caches are per-runner and persist across run() calls, so an
  * ablation binary that runs several sweeps over the same suite pays
@@ -120,7 +120,7 @@ struct SweepCacheStats
     std::uint64_t workloadHits = 0;
     std::uint64_t compileBuilds = 0;
     std::uint64_t compileHits = 0;
-    /// @name Trace cache (all zero when SIQSIM_TRACE=0).
+    /// @name Trace cache.
     /// @{
     std::uint64_t traceBuilds = 0;
     std::uint64_t traceHits = 0;

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "sim/checkpoint.hh"
 #include "sim/report.hh"
@@ -105,6 +106,18 @@ TEST(ShardPlan, PartitionCoversEveryCellExactlyOnce)
     }
 }
 
+/** FNV-1a 64-bit: pins serialized bytes, not just self-consistency. */
+std::uint64_t
+fnv1a64(std::string_view bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 TEST(SpecJson, ExactRoundTrip)
 {
     // non-default everything that serializes, nested configs included
@@ -122,22 +135,26 @@ TEST(SpecJson, ExactRoundTrip)
     spec.base.elideRedundant = false;
     spec.base.unrollFactor = 2;
     spec.base.core.fetchWidth = 4;
+    spec.base.core.dispatchWidth = 5;
+    spec.base.core.issueWidth = 6;
+    spec.base.core.commitWidth = 7;
+    spec.base.core.decodeDepth = 2;
+    spec.base.core.fetchQueueSize = 24;
     spec.base.core.robSize = 96;
     spec.base.core.iq.numEntries = 64;
     spec.base.core.iq.bankSize = 4;
     spec.base.core.lsq.numEntries = 48;
     spec.base.core.intRegs = {96, 31, 4};
+    spec.base.core.fpRegs = {100, 30, 2};
     spec.base.core.fuCounts = {7, 5, 4, 3, 2, 1};
-    spec.base.core.bpred.gshareEntries = 512;
-    spec.base.core.bpred.rasEntries = 16;
+    spec.base.core.bpred = {512, 256, 128, 1024, 2, 16};
+    spec.base.core.mem.l1i = {"tiny-l1i", 16 * 1024, 1, 16, 2};
     spec.base.core.mem.l1d.sizeBytes = 32 * 1024;
     spec.base.core.mem.l1d.name = "little-l1d";
+    spec.base.core.mem.l2 = {"big \"l2\"", 1 << 20, 16, 128, 12};
     spec.base.core.mem.memLatency = 87;
-    spec.base.abella.portion = 4;
-    spec.base.abella.stallFractionToGrow = 0.037;
-    spec.base.abella.intervalCycles = 4096;
-    spec.base.folegnani.contributionThreshold = 9;
-    spec.base.folegnani.expandPeriod = 2;
+    spec.base.abella = {72, 112, 4, 12, 48, 4096, 2, 0.037};
+    spec.base.folegnani = {72, 4, 12, 777, 9, 2};
 
     std::stringstream ss;
     sim::writeSpecJson(ss, spec);
@@ -151,12 +168,46 @@ TEST(SpecJson, ExactRoundTrip)
     EXPECT_EQ(back.base.elideRedundant, spec.base.elideRedundant);
     EXPECT_EQ(back.base.core.fuCounts, spec.base.core.fuCounts);
     EXPECT_EQ(back.base.core.mem.l1d.name, "little-l1d");
+    EXPECT_EQ(back.base.core.mem.l2.name, spec.base.core.mem.l2.name);
     EXPECT_EQ(back.base.abella.stallFractionToGrow,
               spec.base.abella.stallFractionToGrow);
     EXPECT_FALSE(back.perCell);
     // re-serialization is the full-field equality check: every
     // serialized field is byte-identical through the round trip
     EXPECT_EQ(sim::toJson(back), sim::toJson(spec));
+
+    // and the bytes themselves are pinned: checkpoint spec.json files
+    // and serve requests written by earlier builds must still match
+    EXPECT_EQ(fnv1a64(sim::toJson(spec)), 0x323d8381161801a8ull)
+        << sim::toJson(spec);
+    spec.base.core.specFrontEnd = true;
+    const std::string specText = sim::toJson(spec);
+    EXPECT_EQ(fnv1a64(specText), 0x072ffc358bca90f1ull) << specText;
+    std::stringstream sfe(specText);
+    EXPECT_EQ(sim::toJson(sim::readSpecJson(sfe)), specText);
+
+    // unsigned 32-bit fields reject out-of-range values instead of
+    // truncating them (2^32 + 512 would otherwise read back as 512)
+    for (const char *key :
+         {"sizeBytes", "assoc", "lineBytes", "gshareEntries",
+          "bimodalEntries", "selectorEntries", "btbEntries",
+          "btbAssoc", "rasEntries"}) {
+        const std::string needle = std::string("\"") + key + "\":";
+        int cases = 0;
+        for (std::size_t at = specText.find(needle);
+             at != std::string::npos;
+             at = specText.find(needle, at + 1)) {
+            const std::size_t begin = at + needle.size();
+            const std::size_t end =
+                specText.find_first_of(",}", begin);
+            std::string bad = specText;
+            bad.replace(begin, end - begin, "4294967808");
+            const auto r = sim::tryReadSpecJson(bad);
+            EXPECT_FALSE(r) << key << " #" << cases;
+            cases++;
+        }
+        EXPECT_GT(cases, 0) << key;
+    }
 }
 
 TEST(SpecJson, UnknownTechniqueIsFatal)

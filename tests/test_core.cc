@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end core tests on small hand-built programs: functional
- * equivalence with the reference interpreter, timing sanity, hint
+ * End-to-end core tests on small hand-built programs: completion
+ * against the reference interpreter, timing sanity, hint
  * semantics (including the range invariant), mispredict penalties and
  * non-pipelined FU occupancy.
  */
@@ -19,21 +19,29 @@ namespace siq
 namespace
 {
 
-/** Run both the interpreter and the core; compare checksum memory. */
-void
-expectFunctionalMatch(const Program &prog,
-                      const CoreConfig &cfg = CoreConfig{})
+/** The reference interpreter run to completion: the architectural
+ *  results the core's functional stream carries. */
+ExecContext
+runReference(const Program &prog)
 {
     ExecContext ref(prog);
     while (!ref.halted())
         ref.step();
+    return ref;
+}
 
+/** The core finishes @p prog and commits exactly the instructions
+ *  the reference interpreter executed (the programs here hold no
+ *  hint NOOPs, which never commit). */
+void
+expectFunctionalMatch(const Program &prog,
+                      const CoreConfig &cfg = CoreConfig{})
+{
+    const ExecContext ref = runReference(prog);
     Core core(prog, cfg);
     core.run(1u << 24);
     ASSERT_TRUE(core.done());
-    for (std::uint64_t a = 0; a < 32; a++)
-        EXPECT_EQ(core.exec().readMem(a), ref.readMem(a))
-            << "word " << a;
+    EXPECT_EQ(core.stats().committed, ref.instsExecuted());
 }
 
 Program
@@ -65,7 +73,7 @@ TEST(Core, IpcWithinPhysicalBounds)
     const auto &s = core.stats();
     EXPECT_GT(s.ipc(), 0.5);
     EXPECT_LE(s.ipc(), 8.0);
-    EXPECT_EQ(s.committed, core.exec().instsExecuted());
+    EXPECT_EQ(s.committed, runReference(prog).instsExecuted());
 }
 
 TEST(Core, HintNoopConsumesDispatchSlotButNeverCommits)
@@ -84,7 +92,7 @@ TEST(Core, HintNoopConsumesDispatchSlotButNeverCommits)
     EXPECT_EQ(core.stats().hintsApplied, 4u);
     // 4 adds + halt commit; hints do not
     EXPECT_EQ(core.stats().committed, 5u);
-    EXPECT_EQ(core.exec().intReg(1), 4);
+    EXPECT_EQ(runReference(prog).intReg(1), 4);
 }
 
 TEST(Core, TagHintAppliesWithoutDispatchSlot)
@@ -99,8 +107,10 @@ TEST(Core, TagHintAppliesWithoutDispatchSlot)
     const Program prog = b.build();
     Core core(prog, CoreConfig{});
     core.run(1u << 20);
+    ASSERT_TRUE(core.done());
     EXPECT_EQ(core.stats().hintsApplied, 1u);
-    EXPECT_EQ(core.exec().intReg(1), 2);
+    EXPECT_EQ(core.stats().committed, 3u);
+    EXPECT_EQ(runReference(prog).intReg(1), 2);
     EXPECT_EQ(core.issueQueue().currentRange(), 6);
 }
 
@@ -117,7 +127,8 @@ TEST(Core, TinyRangeThrottlesButNeverDeadlocks)
     Core core(prog, CoreConfig{});
     core.run(1u << 22);
     ASSERT_TRUE(core.done());
-    EXPECT_EQ(core.exec().intReg(1), 64);
+    EXPECT_EQ(core.stats().committed, 65u); // hint stripped
+    EXPECT_EQ(runReference(prog).intReg(1), 64);
     EXPECT_GT(core.stats().dispatchStallRange, 0u);
 }
 
@@ -201,7 +212,8 @@ TEST(Core, NonPipelinedDividesSerializeOnUnits)
     core.run(1u << 20);
     ASSERT_TRUE(core.done());
     EXPECT_GE(core.cycle(), 3u * 12u);
-    EXPECT_EQ(core.exec().intReg(10), 142);
+    EXPECT_EQ(core.stats().committed, 11u);
+    EXPECT_EQ(runReference(prog).intReg(10), 142);
 }
 
 TEST(Core, StoreToLoadForwardingHappens)
@@ -216,7 +228,9 @@ TEST(Core, StoreToLoadForwardingHappens)
     const Program prog = b.build();
     Core core(prog, CoreConfig{});
     core.run(1u << 20);
-    EXPECT_EQ(core.exec().intReg(3), 99);
+    ASSERT_TRUE(core.done());
+    EXPECT_EQ(core.stats().committed, 5u);
+    EXPECT_EQ(runReference(prog).intReg(3), 99);
     EXPECT_EQ(core.stats().loadForwards, 1u);
 }
 
@@ -238,7 +252,9 @@ TEST(Core, CallsReturnThroughRas)
     Core core(prog, CoreConfig{});
     core.run(1u << 22);
     ASSERT_TRUE(core.done());
-    EXPECT_EQ(core.exec().intReg(9), 50);
+    const ExecContext ref = runReference(prog);
+    EXPECT_EQ(core.stats().committed, ref.instsExecuted());
+    EXPECT_EQ(ref.intReg(9), 50);
     // after warm-up the RAS should predict nearly every return
     EXPECT_LT(core.stats().branchMispredicts, 10u);
 }
@@ -248,14 +264,15 @@ TEST(Core, ResetStatsPreservesArchState)
     const Program prog = sumLoop(500);
     Core core(prog, CoreConfig{});
     core.run(200);
+    const std::uint64_t firstRun = core.stats().committed;
     core.resetStats();
     EXPECT_EQ(core.stats().committed, 0u);
     core.run(1u << 24);
     ASSERT_TRUE(core.done());
-    ExecContext ref(prog);
-    while (!ref.halted())
-        ref.step();
-    EXPECT_EQ(core.exec().readMem(8), ref.readMem(8));
+    // the reset cleared counters, not the stream: the rest of the
+    // program commits from where the first run stopped
+    EXPECT_EQ(core.stats().committed + firstRun,
+              runReference(prog).instsExecuted());
 }
 
 TEST(Core, FunctionalMatchUnderManyConfigs)
@@ -561,25 +578,25 @@ TEST(SpecFrontEnd, SquashRecoveryInvariantsHoldOverAThousandSquashes)
     EXPECT_GE(totalSquashes, 1000u);
 }
 
-TEST(SpecFrontEnd, ReplayedTraceMatchesDirectInterpretation)
+TEST(SpecFrontEnd, SharedTraceMatchesPrivateTrace)
 {
-    // trace-replay and direct interpretation must stay measurement-
-    // identical with speculation on: wrong-path fetch never consumes
-    // the functional stream
+    // a core on a shared trace and one on its own private trace must
+    // stay measurement-identical through the halt with speculation
+    // on: wrong-path fetch never consumes the functional stream
     const auto prog =
         std::make_shared<const Program>(noisyBranches(800));
     CoreConfig cfg;
     cfg.specFrontEnd = true;
 
     FuncTrace trace(prog);
-    Core direct(*prog, cfg);
-    direct.run(1u << 24);
-    Core replayed(*prog, cfg, nullptr, &trace);
-    replayed.run(1u << 24);
-    ASSERT_TRUE(direct.done());
-    ASSERT_TRUE(replayed.done());
-    EXPECT_TRUE(direct.stats() == replayed.stats());
-    EXPECT_EQ(direct.cycle(), replayed.cycle());
+    Core solo(*prog, cfg);
+    solo.run(1u << 24);
+    Core shared(*prog, cfg, nullptr, &trace);
+    shared.run(1u << 24);
+    ASSERT_TRUE(solo.done());
+    ASSERT_TRUE(shared.done());
+    EXPECT_TRUE(solo.stats() == shared.stats());
+    EXPECT_EQ(solo.cycle(), shared.cycle());
 }
 
 } // namespace

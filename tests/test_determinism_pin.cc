@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -198,31 +197,6 @@ TEST(DeterminismPin, SpeculativeModeIsSeedDeterministicAcrossJobs)
 
     EXPECT_EQ(fnv1a64(ja), fnv1a64(jb));
     EXPECT_EQ(ja, jb);
-}
-
-/** Replaying a recorded functional trace must be measurement-
- *  indistinguishable from direct interpretation in speculative mode
- *  too — wrong-path fetch never consumes the functional stream, so
- *  the trace substitution stays invisible. */
-TEST(DeterminismPin, SpeculativeModeTraceReplayMatchesDirect)
-{
-    const char *old = std::getenv("SIQSIM_TRACE");
-    const std::string saved = old ? old : "";
-
-    ::setenv("SIQSIM_TRACE", "0", 1);
-    sim::ExperimentRunner direct;
-    const std::string jd = canonicalJson(direct.run(speculativeSpec()));
-
-    ::setenv("SIQSIM_TRACE", "1", 1);
-    sim::ExperimentRunner replay;
-    const std::string jr = canonicalJson(replay.run(speculativeSpec()));
-
-    if (old)
-        ::setenv("SIQSIM_TRACE", saved.c_str(), 1);
-    else
-        ::unsetenv("SIQSIM_TRACE");
-
-    EXPECT_EQ(jd, jr);
 }
 
 /** Every registered family must run to completion under the real

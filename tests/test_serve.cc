@@ -355,11 +355,15 @@ TEST(Serve, SlowWaiterIsHardClosedNotStalledOn)
     ASSERT_EQ(recsA.size(), 4u);
     EXPECT_EQ(eventOf(recsA[3]), "done");
     EXPECT_EQ(field(recsA[3], "cellsSimulated").asU64(), 2u);
-    EXPECT_EQ(engine.stats().cellsShared, 1u);
 
     // B was hard-closed: its queue is discarded and just ends
     const auto recsB = drain(*b);
     EXPECT_TRUE(recsB.empty());
+    // B's request thread adds its counters to the engine stats when
+    // it finishes, which can be after its queue ended; ~Client joins
+    // it, so the read below cannot race it
+    b.reset();
+    EXPECT_EQ(engine.stats().cellsShared, 1u);
 }
 
 TEST(Serve, SequentialRequestsReapFinishedThreads)
@@ -384,6 +388,9 @@ TEST(Serve, SequentialRequestsReapFinishedThreads)
         }
     }
     client->endOfInput();
+    // the queue closes only after the last request added its counters
+    // to the engine stats: drain it before reading them
+    EXPECT_TRUE(drain(*client).empty());
     EXPECT_EQ(done, 6u);
     EXPECT_EQ(engine.stats().cellsSimulated, 1u);
     EXPECT_EQ(engine.stats().cellsCached, 5u);

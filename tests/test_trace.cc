@@ -1,8 +1,9 @@
 /**
  * @file
  * Functional-trace unit tests: program content hashing, lazy chunked
- * production, replay-vs-interpret equivalence of the timing model,
- * and the bounded trace cache's accounting and eviction policy.
+ * production, record-by-record equivalence with the interpreter,
+ * shared-vs-private trace equivalence of the timing model, and the
+ * bounded trace cache's accounting and eviction policy.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 
 #include "cpu/core.hh"
 #include "cpu/trace.hh"
+#include "ir/exec.hh"
 #include "sim/trace_cache.hh"
 #include "workloads/builder.hh"
+#include "workloads/family.hh"
 #include "workloads/workloads.hh"
 
 namespace siq
@@ -79,52 +82,77 @@ TEST(FuncTrace, LazyChunkedProductionEndsAtHalt)
     EXPECT_EQ(&cur2.at(1), &cur.at(1));
 }
 
-/** Replaying a trace must reproduce every architectural counter the
- *  direct-interpreting core produces, bit for bit, under multiple
- *  timing configurations of the same trace. */
-TEST(FuncTrace, ReplayBitIdenticalToDirectInterpretation)
+/** Every record carries exactly what one interpreter step yields:
+ *  the instruction, branch outcome, halt flag, load/store address or
+ *  call RAS push, and the resolved next PC — for every registered
+ *  family, up to its halt or a per-family record budget. */
+TEST(FuncTrace, RecordsMatchInterpreterForEveryFamily)
 {
-    for (const char *bench : {"gzip", "mcf", "crafty"}) {
-        const auto prog = generateShared(bench);
+    constexpr std::uint64_t budget = 60000;
+    for (const auto &family : workloads::familyNames()) {
+        const auto prog = generateShared(family);
         FuncTrace trace(prog);
-
-        CoreConfig narrow;
-        narrow.fetchWidth = 2;
-        narrow.iq.numEntries = 32;
-        for (const CoreConfig &cfg : {CoreConfig{}, narrow}) {
-            Core direct(*prog, cfg);
-            direct.run(20000);
-            Core replayed(*prog, cfg, nullptr, &trace);
-            replayed.run(20000);
-            EXPECT_EQ(direct.stats(), replayed.stats())
-                << bench << " fetchWidth=" << cfg.fetchWidth;
-            EXPECT_EQ(direct.iqEvents(), replayed.iqEvents())
-                << bench << " fetchWidth=" << cfg.fetchWidth;
+        TraceCursor cur(&trace);
+        ExecContext ref(*prog);
+        std::uint64_t i = 0;
+        for (; i < budget && !ref.halted(); i++) {
+            const StepResult sr = ref.step();
+            const CtrlTargets ct = ctrlTargets(*prog, sr);
+            const TraceRecord &rec = cur.at(i);
+            ASSERT_EQ(rec.si, sr.inst) << family << " record " << i;
+            ASSERT_EQ((rec.flags & traceFlagTaken) != 0, sr.taken)
+                << family << " record " << i;
+            ASSERT_EQ((rec.flags & traceFlagHalted) != 0, sr.halted)
+                << family << " record " << i;
+            ASSERT_EQ(rec.nextPc, ct.actualNextPc)
+                << family << " record " << i;
+            const auto &t = sr.inst->traits();
+            const std::uint64_t aux = t.isLoad || t.isStore
+                                          ? sr.memAddr
+                                          : ct.rasPushPc;
+            ASSERT_EQ(rec.aux, aux) << family << " record " << i;
         }
+        EXPECT_GT(i, 1000u) << family;
     }
 }
 
 /** A second replayer with a larger budget extends the shared trace
  *  past the first one's frontier (lazy growth: the instruction budget
- *  is not part of the trace identity). */
+ *  is not part of the trace identity), and sharing is invisible: a
+ *  core behind the frontier, one pushing it, and one on a private
+ *  trace produce identical counters, under both front ends. */
 TEST(FuncTrace, BudgetsExtendSharedTrace)
 {
     const auto prog = generateShared("gzip");
-    FuncTrace trace(prog);
+    for (const bool spec : {false, true}) {
+        FuncTrace trace(prog);
+        CoreConfig cfg;
+        cfg.specFrontEnd = spec;
 
-    CoreConfig cfg;
-    Core small(*prog, cfg, nullptr, &trace);
-    small.run(2000);
-    const std::uint64_t frontier = trace.producedRecords();
-    ASSERT_GT(frontier, 0u);
+        Core small(*prog, cfg, nullptr, &trace);
+        small.run(2000);
+        const std::uint64_t frontier = trace.producedRecords();
+        ASSERT_GT(frontier, 0u);
 
-    Core big(*prog, cfg, nullptr, &trace);
-    big.run(20000);
-    EXPECT_GT(trace.producedRecords(), frontier);
+        Core big(*prog, cfg, nullptr, &trace);
+        big.run(20000);
+        EXPECT_GT(trace.producedRecords(), frontier);
 
-    Core direct(*prog, cfg);
-    direct.run(20000);
-    EXPECT_EQ(direct.stats(), big.stats());
+        // replays records another core already produced
+        Core late(*prog, cfg, nullptr, &trace);
+        late.run(20000);
+
+        Core solo(*prog, cfg);
+        solo.run(20000);
+        for (const Core *shared : {&big, &late}) {
+            EXPECT_EQ(solo.stats(), shared->stats()) << "spec=" << spec;
+            EXPECT_EQ(solo.iqEvents(), shared->iqEvents())
+                << "spec=" << spec;
+        }
+        if (spec) {
+            EXPECT_GT(solo.stats().squashes, 0u);
+        }
+    }
 }
 
 TEST(TraceCache, HitAndBuildAccountingExact)
