@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <initializer_list>
 
 #include "common/logging.hh"
 
@@ -161,7 +162,7 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
 {
     const StaticInst &si = *di.si;
     const auto &t = si.traits();
-    const std::uint64_t pc = di.pc;
+    const std::uint64_t pc = si.pc;
 
     bool mispredict = false;
     bool frontRedirect = false;
@@ -180,19 +181,9 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
                 // direct branches resolve both targets at decode, so
                 // the wrong path is the other static arm
                 const PcLoc &loc = pcIndex.at(pc);
-                const BasicBlock &blk =
-                    prog.procs[loc.proc].blocks[loc.block];
-                if (di.taken) {
-                    wpStart =
-                        loc.instIdx + 1 <
-                                static_cast<int>(blk.insts.size())
-                            ? blk.insts[loc.instIdx + 1].pc
-                            : blockStartPc(prog, loc.proc,
-                                           blk.fallthrough);
-                } else {
-                    wpStart =
-                        blockStartPc(prog, loc.proc, si.target);
-                }
+                wpStart = di.taken
+                              ? sequentialPc(loc)
+                              : blockStartPc(prog, loc.proc, si.target);
             }
         } else if (di.taken && btbTarget != actualNext) {
             // right direction, target resolved at decode
@@ -351,17 +342,10 @@ Core::issueStage()
         wheel.schedule(now + static_cast<std::uint64_t>(latency),
                        cand.robIdx, robGen[cand.robIdx]);
 
-        if (h.psrc1 >= 0) {
-            if (h.psrc1 >= regHandleStride)
-                _stats.rfFpReads++;
-            else
-                _stats.rfIntReads++;
-        }
-        if (h.psrc2 >= 0) {
-            if (h.psrc2 >= regHandleStride)
-                _stats.rfFpReads++;
-            else
-                _stats.rfIntReads++;
+        for (const int src : {h.psrc1, h.psrc2}) {
+            if (src >= 0)
+                (src >= regHandleStride ? _stats.rfFpReads
+                                        : _stats.rfIntReads)++;
         }
         if (wrongPath)
             _stats.wrongPathIssued++;
@@ -373,20 +357,72 @@ Core::issueStage()
     signals.issuedTotal = issued;
 }
 
+Core::DispatchBlock
+Core::dispatchBlock(const DynInst &front) const
+{
+    if (front.decodeReadyCycle > now)
+        return DispatchBlock::NotDecoded;
+    const StaticInst &si = *front.si;
+    if (si.op == Opcode::Hint)
+        return DispatchBlock::Hint;
+    const auto &t = si.traits();
+    const bool needsIq = t.fu != FuClass::None;
+    if (robCount >= cfg.robSize)
+        return DispatchBlock::Rob;
+    if (ctrl != nullptr && robCount >= ctrl->robLimit())
+        return DispatchBlock::RobLimit;
+    if (needsIq && iq.regionFull())
+        return DispatchBlock::IqFull;
+    if (needsIq && ctrl != nullptr &&
+        iq.validCount() >= ctrl->iqLimit())
+        return DispatchBlock::IqLimit;
+    if (si.tagHint != 0 && !front.hintApplied)
+        return DispatchBlock::TagHint;
+    if (needsIq && iq.rangeBlocked())
+        return DispatchBlock::Range;
+    if ((t.isLoad || t.isStore) && lsq.full())
+        return DispatchBlock::Lsq;
+    if (si.writesLiveReg() &&
+        !(si.dst >= fpRegBase ? fpRegs : intRegs).hasFree())
+        return DispatchBlock::Regs;
+    return DispatchBlock::None;
+}
+
+std::uint64_t *
+Core::stallCounter(DispatchBlock b)
+{
+    switch (b) {
+    case DispatchBlock::Rob:
+        return &_stats.dispatchStallRob;
+    case DispatchBlock::RobLimit:
+    case DispatchBlock::IqLimit:
+        return &_stats.dispatchStallLimit;
+    case DispatchBlock::IqFull:
+        return &_stats.dispatchStallIqFull;
+    case DispatchBlock::Range:
+        return &_stats.dispatchStallRange;
+    case DispatchBlock::Lsq:
+        return &_stats.dispatchStallLsq;
+    case DispatchBlock::Regs:
+        return &_stats.dispatchStallRegs;
+    default:
+        return nullptr;
+    }
+}
+
 void
 Core::dispatchStage()
 {
     int dispatched = 0;
     while (dispatched < cfg.dispatchWidth && fqCount > 0) {
         DynInst &front = fetchQueue[fqHead];
-        if (front.decodeReadyCycle > now)
-            break;
+        DispatchBlock block = dispatchBlock(front);
 
         // special NOOPs are stripped here, in the last decode stage,
         // consuming a dispatch slot (paper §5.2.1). A wrong-path hint
         // must not retrain the IQ sizing — the squash cannot undo an
         // applyHint — so it only burns the slot.
-        if (front.si->op == Opcode::Hint) {
+        if (block == DispatchBlock::Hint) {
             if (front.wrongPath) {
                 _stats.wrongPathDispatched++;
             } else {
@@ -397,98 +433,63 @@ Core::dispatchStage()
             dispatched++;
             continue;
         }
-
-        const auto &t = front.si->traits();
-        const bool needsIq = t.fu != FuClass::None;
-
-        if (robCount >= cfg.robSize) {
-            _stats.dispatchStallRob++;
-            break;
-        }
-        if (ctrl != nullptr && robCount >= ctrl->robLimit()) {
-            _stats.dispatchStallLimit++;
-            signals.dispatchStalledByLimit = true;
-            break;
-        }
-        if (needsIq && iq.regionFull()) {
-            _stats.dispatchStallIqFull++;
-            break;
-        }
-        if (needsIq && ctrl != nullptr &&
-            iq.validCount() >= ctrl->iqLimit()) {
-            _stats.dispatchStallLimit++;
-            signals.dispatchStalledByLimit = true;
-            break;
-        }
         // Extension scheme: the tag applies when the tagged
         // instruction dispatches, before the range check, so the
-        // tagged instruction starts its own region
-        if (front.si->tagHint != 0 && !front.hintApplied) {
+        // tagged instruction starts its own region. applyHint moves
+        // none of the checks before it: asking again resumes there.
+        if (block == DispatchBlock::TagHint) {
             iq.applyHint(front.si->tagHint);
             front.hintApplied = true;
             _stats.hintsApplied++;
+            block = dispatchBlock(front);
         }
-        if (needsIq && iq.rangeBlocked()) {
-            _stats.dispatchStallRange++;
-            break;
-        }
-        if ((t.isLoad || t.isStore) && lsq.full()) {
-            _stats.dispatchStallLsq++;
-            break;
-        }
-        int dstFile = -1;
-        if (front.si->writesLiveReg())
-            dstFile = front.si->dst >= fpRegBase ? 1 : 0;
-        if (dstFile == 0 && !intRegs.hasFree()) {
-            _stats.dispatchStallRegs++;
-            break;
-        }
-        if (dstFile == 1 && !fpRegs.hasFree()) {
-            _stats.dispatchStallRegs++;
+        if (block != DispatchBlock::None) {
+            if (std::uint64_t *ctr = stallCounter(block))
+                (*ctr)++;
+            signals.dispatchStalledByLimit = isLimitStall(block);
             break;
         }
 
-        // rename in place in the fetch-queue slot, then copy once
-        // into the ROB (the slot stays untouched until a later fetch
-        // reuses it)
+        // rename: sources first, then the destination
+        const auto &t = front.si->traits();
+        const bool needsIq = t.fu != FuClass::None;
         bool ready1 = true;
         bool ready2 = true;
-        front.psrc1 = t.readsSrc1
-                          ? sourceHandle(front.si->src1, ready1)
-                          : -1;
-        front.psrc2 = t.readsSrc2
-                          ? sourceHandle(front.si->src2, ready2)
-                          : -1;
-        front.dstFile = dstFile;
-        if (dstFile >= 0) {
+        const int psrc1 =
+            t.readsSrc1 ? sourceHandle(front.si->src1, ready1) : -1;
+        const int psrc2 =
+            t.readsSrc2 ? sourceHandle(front.si->src2, ready2) : -1;
+        int dstFile = -1;
+        int pdstHandle = -1;
+        int oldPdst = -1;
+        if (front.si->writesLiveReg()) {
+            dstFile = front.si->dst >= fpRegBase ? 1 : 0;
             auto &file = dstFile == 1 ? fpRegs : intRegs;
             const int arch = dstFile == 1
                                  ? front.si->dst - fpRegBase
                                  : front.si->dst;
             const auto [fresh, old] = file.rename(arch);
-            front.pdst = fresh;
-            front.oldPdst = old;
+            pdstHandle = handleOf(dstFile, fresh);
+            oldPdst = old;
         }
 
         const int robIdx = robTail;
-        if (t.isLoad || t.isStore)
-            front.lsqIdx = lsq.allocate(t.isStore,
-                                        front.memAddr, robIdx);
+        const int lsqIdx =
+            t.isLoad || t.isStore
+                ? lsq.allocate(t.isStore, front.memAddr, robIdx)
+                : -1;
         if (t.isStore && !front.wrongPath)
             _stats.stores++;
-        if (needsIq) {
-            iq.dispatch(robIdx, front.psrc1, ready1, front.psrc2,
-                        ready2, front.seq);
-        }
-        rob[robIdx] = {front.si, front.oldPdst,
+        if (needsIq)
+            iq.dispatch(robIdx, psrc1, ready1, psrc2, ready2);
+        rob[robIdx] = {front.si, oldPdst,
                        static_cast<std::int8_t>(dstFile)};
         RobHot &h = robHot[robIdx];
         h.memAddr = front.memAddr;
-        h.lsqIdx = front.lsqIdx;
-        h.pdstHandle =
-            dstFile >= 0 ? handleOf(dstFile, front.pdst) : -1;
-        h.psrc1 = front.psrc1;
-        h.psrc2 = front.psrc2;
+        h.lsqIdx = lsqIdx;
+        h.pdstHandle = pdstHandle;
+        h.psrc1 = psrc1;
+        h.psrc2 = psrc2;
         h.latency = static_cast<std::int16_t>(t.latency);
         h.fu = static_cast<std::int8_t>(t.fu);
         h.flags = static_cast<std::uint8_t>(
@@ -518,71 +519,70 @@ Core::dispatchStage()
     }
 }
 
+bool
+Core::icacheHit(std::uint64_t pc)
+{
+    const std::uint64_t line = pc / cfg.mem.l1i.lineBytes;
+    if (line == lastFetchLine)
+        return true;
+    const int latency = mem.instAccess(pc);
+    lastFetchLine = line;
+    if (latency <= 1)
+        return true;
+    icacheReadyCycle = now + static_cast<std::uint64_t>(latency);
+    return false;
+}
+
+DynInst &
+Core::claimFetchSlot()
+{
+    DynInst &di = fetchQueue[fqTail];
+    di = DynInst{};
+    di.decodeReadyCycle =
+        now + static_cast<std::uint64_t>(cfg.decodeDepth);
+    fqTail = fqTail + 1 == cfg.fetchQueueSize ? 0 : fqTail + 1;
+    fqCount++;
+    return di;
+}
+
 void
 Core::fetchStage()
 {
-    if (now < fetchResumeCycle || now < icacheReadyCycle)
+    if (now < fetchResumeCycle || now < icacheReadyCycle ||
+        !fetchWouldRun())
         return;
     // while a mispredicted branch is in flight the front end follows
-    // the predicted path; fetchBlocked gates only the correct path
+    // the predicted path
     if (wpActive) {
         wrongPathFetchStage();
         return;
     }
-    if (fetchDone || fetchBlocked)
-        return;
     int fetched = 0;
     while (fetched < cfg.fetchWidth &&
            fqCount < cfg.fetchQueueSize && !streamHalted) {
-        // the next record, without consuming it: the icache check
-        // below may end the fetch group before it is fetched
+        // the next record, without consuming it: an icache miss ends
+        // the fetch group before it is fetched
         const TraceRecord &rec = stream.at(streamIdx);
-        const std::uint64_t pc = rec.si->pc;
-        const std::uint64_t line = pc / cfg.mem.l1i.lineBytes;
-        if (line != lastFetchLine) {
-            const int latency = mem.instAccess(pc);
-            lastFetchLine = line;
-            if (latency > 1) {
-                icacheReadyCycle =
-                    now + static_cast<std::uint64_t>(latency);
-                break;
-            }
-        }
-
-        DynInst &di = fetchQueue[fqTail];
-        // reset only what dispatch reads before (re)assigning it —
-        // everything else is written below or at dispatch
-        di.oldPdst = -1;
-        di.lsqIdx = -1;
-        di.hintApplied = false;
-        di.stallsFetch = false;
-        di.wrongPath = false;
+        if (!icacheHit(rec.si->pc))
+            break;
         streamIdx++;
+        DynInst &di = claimFetchSlot();
         di.si = rec.si;
-        di.seq = seqCounter++;
-        di.pc = pc;
         const auto &t = rec.si->traits();
         // aux is the load/store address or the call's RAS push PC
         di.memAddr = t.isLoad || t.isStore ? rec.aux : 0;
         di.taken = (rec.flags & traceFlagTaken) != 0;
         di.halted = (rec.flags & traceFlagHalted) != 0;
         streamHalted = di.halted;
-        di.decodeReadyCycle =
-            now + static_cast<std::uint64_t>(cfg.decodeDepth);
 
         const std::uint64_t resumeBefore = fetchResumeCycle;
         predictControl(di, rec.nextPc,
                        rec.si->op == Opcode::Call ? rec.aux : 0);
         const bool redirected = fetchResumeCycle != resumeBefore;
         const bool taken = di.taken || t.isJump;
-
-        fqTail = fqTail + 1 == cfg.fetchQueueSize ? 0 : fqTail + 1;
-        fqCount++;
         _stats.fetched++;
         fetched++;
 
-        if (streamHalted)
-            fetchDone = true;
         if (di.stallsFetch) {
             fetchBlocked = true;
             break;
@@ -609,8 +609,6 @@ Core::armWrongPath(std::uint64_t startPc)
 void
 Core::wrongPathFetchStage()
 {
-    if (wpStalled)
-        return;
     int fetched = 0;
     while (fetched < cfg.fetchWidth && fqCount < cfg.fetchQueueSize) {
         const auto it = pcIndex.find(wpPc);
@@ -622,40 +620,20 @@ Core::wrongPathFetchStage()
             return;
         }
         const PcLoc &loc = it->second;
-        const std::uint64_t line = wpPc / cfg.mem.l1i.lineBytes;
-        if (line != lastFetchLine) {
-            const int latency = mem.instAccess(wpPc);
-            lastFetchLine = line;
-            if (latency > 1) {
-                icacheReadyCycle =
-                    now + static_cast<std::uint64_t>(latency);
-                return;
-            }
-        }
+        if (!icacheHit(wpPc))
+            return;
 
-        DynInst &di = fetchQueue[fqTail];
-        di.oldPdst = -1;
-        di.lsqIdx = -1;
+        DynInst &di = claimFetchSlot();
         // hintApplied pre-set: tag hints are correct-path-only (like
         // Hint NOOPs, their applyHint cannot be undone by the squash)
         di.hintApplied = true;
-        di.stallsFetch = false;
         di.wrongPath = true;
         di.si = loc.si;
-        di.seq = seqCounter++;
-        di.pc = wpPc;
         // loads/stores need an address; the architectural one does
         // not exist (the op never really executes)
         di.memAddr = wrongPathMemAddr(wpPc);
-        di.taken = false;
-        di.halted = false;
-        di.decodeReadyCycle =
-            now + static_cast<std::uint64_t>(cfg.decodeDepth);
 
         const WpNext nxt = wrongPathNextPc(loc);
-
-        fqTail = fqTail + 1 == cfg.fetchQueueSize ? 0 : fqTail + 1;
-        fqCount++;
         _stats.wrongPathFetched++;
         fetched++;
 
@@ -670,24 +648,26 @@ Core::wrongPathFetchStage()
     }
 }
 
+std::uint64_t
+Core::sequentialPc(const PcLoc &loc) const
+{
+    const BasicBlock &blk = prog.procs[loc.proc].blocks[loc.block];
+    if (loc.instIdx + 1 < static_cast<int>(blk.insts.size()))
+        return blk.insts[loc.instIdx + 1].pc;
+    return blockStartPc(prog, loc.proc, blk.fallthrough);
+}
+
 Core::WpNext
 Core::wrongPathNextPc(const PcLoc &loc)
 {
     const StaticInst &si = *loc.si;
-    const BasicBlock &blk = prog.procs[loc.proc].blocks[loc.block];
-    // sequential successor in the static layout
-    const auto seqPc = [&]() -> std::uint64_t {
-        if (loc.instIdx + 1 < static_cast<int>(blk.insts.size()))
-            return blk.insts[loc.instIdx + 1].pc;
-        return blockStartPc(prog, loc.proc, blk.fallthrough);
-    };
     if (si.traits().isBranch) {
         // predictor-guided: shifts speculative history (restored at
         // the squash) but trains no table — the outcome is unknown
         const bool taken = _bpred.speculateDirection(si.pc);
         if (taken)
             return {blockStartPc(prog, loc.proc, si.target), true};
-        return {seqPc(), false};
+        return {sequentialPc(loc), false};
     }
     switch (si.op) {
     case Opcode::Jump:
@@ -695,8 +675,9 @@ Core::wrongPathNextPc(const PcLoc &loc)
     case Opcode::Call:
         // same push value as correct-path fetch (the caller block's
         // fallthrough); block 0 is the callee's entry
-        _bpred.rasPush(
-            blockStartPc(prog, loc.proc, blk.fallthrough));
+        _bpred.rasPush(blockStartPc(
+            prog, loc.proc,
+            prog.procs[loc.proc].blocks[loc.block].fallthrough));
         return {blockStartPc(prog, si.target, 0), true};
     case Opcode::Ret:
         return {_bpred.rasPop(), true};
@@ -705,7 +686,7 @@ Core::wrongPathNextPc(const PcLoc &loc)
     case Opcode::Halt:
         return {0, true};
     default:
-        return {seqPc(), false};
+        return {sequentialPc(loc), false};
     }
 }
 
@@ -735,9 +716,9 @@ Core::squashWrongPath()
     int flushed = 0;
     int iqDispatches = 0;
     int lsqEntries = 0;
-    int idx = ckpt.branchRobIdx + 1 == cfg.robSize
-                  ? 0
-                  : ckpt.branchRobIdx + 1;
+    const int afterBranch =
+        ckpt.branchRobIdx + 1 == cfg.robSize ? 0 : ckpt.branchRobIdx + 1;
+    int idx = afterBranch;
     while (idx != robTail) {
         const RobHot &h = robHot[idx];
         SIQ_ASSERT(h.flags & robFlagWrongPath,
@@ -757,9 +738,7 @@ Core::squashWrongPath()
         flushed++;
         idx = idx + 1 == cfg.robSize ? 0 : idx + 1;
     }
-    robTail = ckpt.branchRobIdx + 1 == cfg.robSize
-                  ? 0
-                  : ckpt.branchRobIdx + 1;
+    robTail = afterBranch;
     robCount -= flushed;
 
     iq.squashTail(iqDispatches);
@@ -867,22 +846,7 @@ Core::tick()
     dispatchStage();
     fetchStage();
 
-    // per-cycle statistics
-    iq.tickStats();
-    _stats.rfIntLiveSum +=
-        static_cast<std::uint64_t>(intRegs.liveRegs());
-    _stats.rfIntPoweredBankCycles +=
-        static_cast<std::uint64_t>(intRegs.poweredBanks());
-    _stats.rfIntBankCycles +=
-        static_cast<std::uint64_t>(intRegs.numBanks());
-    _stats.rfFpLiveSum +=
-        static_cast<std::uint64_t>(fpRegs.liveRegs());
-    _stats.rfFpPoweredBankCycles +=
-        static_cast<std::uint64_t>(fpRegs.poweredBanks());
-    _stats.rfFpBankCycles +=
-        static_cast<std::uint64_t>(fpRegs.numBanks());
-    _stats.cycles++;
-
+    accountCycles(1);
     if (ctrl != nullptr) {
         signals.iqValid = iq.validCount();
         signals.iqRegionLen = iq.regionSize();
@@ -890,6 +854,25 @@ Core::tick()
         ctrl->tick(signals);
     }
     now++;
+}
+
+void
+Core::accountCycles(std::uint64_t n)
+{
+    _stats.cycles += n;
+    iq.tickStats(n);
+    _stats.rfIntLiveSum +=
+        n * static_cast<std::uint64_t>(intRegs.liveRegs());
+    _stats.rfIntPoweredBankCycles +=
+        n * static_cast<std::uint64_t>(intRegs.poweredBanks());
+    _stats.rfIntBankCycles +=
+        n * static_cast<std::uint64_t>(intRegs.numBanks());
+    _stats.rfFpLiveSum +=
+        n * static_cast<std::uint64_t>(fpRegs.liveRegs());
+    _stats.rfFpPoweredBankCycles +=
+        n * static_cast<std::uint64_t>(fpRegs.poweredBanks());
+    _stats.rfFpBankCycles +=
+        n * static_cast<std::uint64_t>(fpRegs.numBanks());
 }
 
 void
@@ -929,68 +912,30 @@ Core::maybeFastForward()
         return; // issuable right now
     }
 
-    // dispatch: mirror dispatchStage's break order exactly so the
-    // skipped cycles bump the same stall counter it would have
+    // dispatch: the stage's own verdict names the stall counter the
+    // skipped cycles would have bumped
     std::uint64_t *stallCtr = nullptr;
     bool stalledByLimit = false;
     if (fqCount > 0) {
         const DynInst &front = fetchQueue[fqHead];
-        if (front.decodeReadyCycle > now) {
+        const DispatchBlock block = dispatchBlock(front);
+        if (block == DispatchBlock::NotDecoded) {
             next = std::min(next, front.decodeReadyCycle);
-        } else if (front.si->op == Opcode::Hint) {
-            return; // would be stripped (a dispatch action)
         } else {
-            const auto &t = front.si->traits();
-            const bool needsIq = t.fu != FuClass::None;
-            int dstFile = -1;
-            if (front.si->writesLiveReg())
-                dstFile = front.si->dst >= fpRegBase ? 1 : 0;
-            if (robCount >= cfg.robSize) {
-                stallCtr = &_stats.dispatchStallRob;
-            } else if (ctrl != nullptr &&
-                       robCount >= ctrl->robLimit()) {
-                stallCtr = &_stats.dispatchStallLimit;
-                stalledByLimit = true;
-            } else if (needsIq && iq.regionFull()) {
-                stallCtr = &_stats.dispatchStallIqFull;
-            } else if (needsIq && ctrl != nullptr &&
-                       iq.validCount() >= ctrl->iqLimit()) {
-                stallCtr = &_stats.dispatchStallLimit;
-                stalledByLimit = true;
-            } else if (front.si->tagHint != 0 && !front.hintApplied) {
-                return; // would apply the tag hint (an action)
-            } else if (needsIq && iq.rangeBlocked()) {
-                stallCtr = &_stats.dispatchStallRange;
-            } else if ((t.isLoad || t.isStore) && lsq.full()) {
-                stallCtr = &_stats.dispatchStallLsq;
-            } else if (dstFile == 0 && !intRegs.hasFree()) {
-                stallCtr = &_stats.dispatchStallRegs;
-            } else if (dstFile == 1 && !fpRegs.hasFree()) {
-                stallCtr = &_stats.dispatchStallRegs;
-            } else {
-                return; // would dispatch
-            }
+            stallCtr = stallCounter(block);
+            if (stallCtr == nullptr)
+                return; // would dispatch, strip a hint or apply a tag
+            stalledByLimit = isLimitStall(block);
         }
     }
 
-    // fetch: blocked states clear via completion events (bounded
-    // above) or via the resume/icache timers
-    if (!fetchDone && !fetchBlocked && fqCount < cfg.fetchQueueSize &&
-        !streamHalted) {
+    // fetch (either path): its gates clear via completion events
+    // (bounded above) or via the resume/icache timers
+    if (fetchWouldRun()) {
         const std::uint64_t resume =
             std::max(fetchResumeCycle, icacheReadyCycle);
         if (resume <= now)
             return; // would fetch
-        next = std::min(next, resume);
-    }
-    // wrong-path fetch: fetchBlocked gates only the correct path; a
-    // gated (wpStalled) front end unblocks via the branch's
-    // completion event, already bounded above
-    if (wpActive && !wpStalled && fqCount < cfg.fetchQueueSize) {
-        const std::uint64_t resume =
-            std::max(fetchResumeCycle, icacheReadyCycle);
-        if (resume <= now)
-            return; // would fetch down the predicted path
         next = std::min(next, resume);
     }
 
@@ -1006,22 +951,9 @@ Core::maybeFastForward()
     // every cycle in [now, next) is provably dead: accumulate what
     // the per-cycle bookkeeping would have, in one step each
     const std::uint64_t delta = next - now;
-    _stats.cycles += delta;
+    accountCycles(delta);
     if (stallCtr != nullptr)
         *stallCtr += delta;
-    iq.tickStatsN(delta);
-    _stats.rfIntLiveSum +=
-        delta * static_cast<std::uint64_t>(intRegs.liveRegs());
-    _stats.rfIntPoweredBankCycles +=
-        delta * static_cast<std::uint64_t>(intRegs.poweredBanks());
-    _stats.rfIntBankCycles +=
-        delta * static_cast<std::uint64_t>(intRegs.numBanks());
-    _stats.rfFpLiveSum +=
-        delta * static_cast<std::uint64_t>(fpRegs.liveRegs());
-    _stats.rfFpPoweredBankCycles +=
-        delta * static_cast<std::uint64_t>(fpRegs.poweredBanks());
-    _stats.rfFpBankCycles +=
-        delta * static_cast<std::uint64_t>(fpRegs.numBanks());
     if (ctrl != nullptr) {
         // the observations an idle cycle delivers are constant, so
         // the controller sees exactly the sequence it would have
@@ -1039,28 +971,28 @@ Core::maybeFastForward()
 }
 
 std::uint64_t
+Core::activity() const
+{
+    return _stats.committed + _stats.fetched + _stats.dispatched +
+           _stats.issued + _stats.hintsApplied +
+           _stats.wrongPathFetched + _stats.wrongPathDispatched +
+           _stats.wrongPathIssued;
+}
+
+std::uint64_t
 Core::run(std::uint64_t maxInsts)
 {
     const std::uint64_t start = _stats.committed;
     std::uint64_t lastCommitted = start;
     std::uint64_t lastProgress = now;
     while (!coreHalted && _stats.committed - start < maxInsts) {
-        const std::uint64_t act0 =
-            _stats.committed + _stats.fetched + _stats.dispatched +
-            _stats.issued + _stats.hintsApplied +
-            _stats.wrongPathFetched + _stats.wrongPathDispatched +
-            _stats.wrongPathIssued;
+        const std::uint64_t act = activity();
         tick();
-        const std::uint64_t act1 =
-            _stats.committed + _stats.fetched + _stats.dispatched +
-            _stats.issued + _stats.hintsApplied +
-            _stats.wrongPathFetched + _stats.wrongPathDispatched +
-            _stats.wrongPathIssued;
         // a tick that did nothing usually starts a dead stretch
         // (cache miss, drain, decode bubble): prove it and jump it.
         // The gate is only a heuristic — maybeFastForward re-checks
         // everything against the current state.
-        if (act1 == act0 && wbScratch.empty())
+        if (activity() == act && wbScratch.empty())
             maybeFastForward();
         if (_stats.committed != lastCommitted) {
             lastCommitted = _stats.committed;

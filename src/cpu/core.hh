@@ -164,22 +164,15 @@ struct CoreStats
 };
 
 /** One in-flight instruction between fetch and dispatch (a slot of
- *  the fetch ring; the ROB keeps only RobCold + the dense arrays). */
+ *  the fetch ring): what fetch produces. Dispatch renames into
+ *  locals and copies the result into RobCold + the dense arrays. */
 struct DynInst
 {
     const StaticInst *si = nullptr;
-    std::uint64_t seq = 0;
-    std::uint64_t pc = 0;
     std::uint64_t memAddr = 0; ///< word address for loads/stores
+    std::uint64_t decodeReadyCycle = 0;
     bool taken = false;        ///< conditional branch outcome
     bool halted = false;       ///< the program ended here
-    int dstFile = -1; ///< 0 int, 1 fp, -1 none
-    int pdst = -1;
-    int oldPdst = -1;
-    int psrc1 = -1; ///< handle: file*256 + phys
-    int psrc2 = -1;
-    int lsqIdx = -1;
-    std::uint64_t decodeReadyCycle = 0;
     bool hintApplied = false;
     bool stallsFetch = false; ///< fetch resumes when this completes
     bool wrongPath = false;   ///< speculative mode: fetched past a
@@ -381,16 +374,55 @@ class Core
     void dispatchStage();
     void fetchStage();
 
+    /** Why the fetch-queue head cannot dispatch this cycle: the
+     *  dispatch stage's checks, in the order it makes them. None
+     *  dispatches; Hint and TagHint are actions; NotDecoded waits on
+     *  decode; the rest are stalls (Range: paper §3.1 max_new_range,
+     *  the two limits: the resize controller). */
+    enum class DispatchBlock : std::uint8_t
+    {
+        None, NotDecoded, Hint, TagHint, Rob, RobLimit, IqFull,
+        IqLimit, Range, Lsq, Regs,
+    };
+    DispatchBlock dispatchBlock(const DynInst &front) const;
+    /** The counter a cycle stalled by @p b bumps (nullptr: none). */
+    std::uint64_t *stallCounter(DispatchBlock b);
+    static bool
+    isLimitStall(DispatchBlock b)
+    {
+        return b == DispatchBlock::RobLimit ||
+               b == DispatchBlock::IqLimit;
+    }
+
+    /** Fetch (either path) has work and room; the resume and icache
+     *  timers gate it on top. wpActive implies fetchBlocked. */
+    bool
+    fetchWouldRun() const
+    {
+        return fqCount < cfg.fetchQueueSize &&
+               (wpActive ? !wpStalled : !fetchBlocked && !streamHalted);
+    }
+    /** Access the icache for @p pc on a new line; false on a miss,
+     *  which ends the fetch group until icacheReadyCycle. */
+    bool icacheHit(std::uint64_t pc);
+    /** Claim the fetch-ring tail slot, reset, decoding from now. */
+    DynInst &claimFetchSlot();
+
+    /** Per-cycle statistics for @p n cycles of unchanged state. */
+    void accountCycles(std::uint64_t n);
+    /** Work done so far: a tick that leaves it unchanged did none. */
+    std::uint64_t activity() const;
+
     /**
      * Idle fast-forward (DESIGN.md §12): when no stage can act at the
      * current cycle, jump straight to the earliest cycle at which one
      * can — batching the per-cycle statistics and the one dispatch
      * stall counter the skipped cycles would have accumulated, and
      * ticking the resize controller through them — instead of
-     * walking every stage through each dead cycle. Every
-     * architectural counter stays byte-identical to the
-     * cycle-by-cycle run (tests/test_determinism_pin.cc). No-op
-     * unless idleness is structurally proven.
+     * walking every stage through each dead cycle. It asks the
+     * stages' own predicates (dispatchBlock, fetchWouldRun), so every
+     * counter stays byte-identical to a tick() loop (FastForward.*
+     * in tests/test_core.cc). No-op unless idleness is proven.
      */
     void maybeFastForward();
 
@@ -407,6 +439,9 @@ class Core
         int block = 0;
         int instIdx = 0;
     };
+
+    /** The instruction after @p loc in the static layout. */
+    std::uint64_t sequentialPc(const PcLoc &loc) const;
 
     /** Arm wrong-path fetch at @p startPc (0 gates the front end)
      *  after a mispredicted branch was fetched. */
@@ -484,12 +519,10 @@ class Core
     CompletionWheel wheel;
 
     std::uint64_t now = 0;
-    std::uint64_t seqCounter = 0;
     bool fetchBlocked = false;       ///< waiting on a mispredict
     std::uint64_t fetchResumeCycle = 0;
     std::uint64_t icacheReadyCycle = 0;
     std::uint64_t lastFetchLine = ~0ull;
-    bool fetchDone = false; ///< program fully fetched (halt seen)
     bool coreHalted = false;
 
     /** PC → static location, built once at construction when the

@@ -38,7 +38,6 @@ IssueQueue::IssueQueue(const IqConfig &config) : cfg(config)
     nbanks = cfg.numEntries / cfg.bankSize;
     slots.assign(static_cast<std::size_t>(cfg.numEntries), {});
     bankValid.assign(static_cast<std::size_t>(nbanks), 0);
-    bankPending.assign(static_cast<std::size_t>(nbanks), 0);
     // handles are file*256 + phys with phys < 256 (regHandleStride
     // in cpu/core.hh; the Core constructor asserts the invariant)
     waiters.assign(512, {});
@@ -47,7 +46,7 @@ IssueQueue::IssueQueue(const IqConfig &config) : cfg(config)
 
 int
 IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
-                     bool ready2, std::uint64_t seq)
+                     bool ready2)
 {
     SIQ_ASSERT(canDispatch(), "dispatch into a blocked queue");
     const int slot = tail;
@@ -59,7 +58,6 @@ IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
     e.psrc2 = psrc2;
     e.ready1 = ready1 || psrc1 < 0;
     e.ready2 = ready2 || psrc2 < 0;
-    e.seq = seq;
     const int bank = slot / cfg.bankSize;
     const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
     if (!e.ready1) {
@@ -76,7 +74,6 @@ IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
     }
     if (bankValid[bank]++ == 0)
         poweredBankCount++;
-    bankPending[bank] += pending;
     pendingOps += pending;
     tail = next(tail);
     count++;
@@ -139,7 +136,6 @@ IssueQueue::wakeup(int ptag)
                 continue;
             e.ready2 = true;
         }
-        bankPending[slot / cfg.bankSize]--;
         pendingOps--;
         if (!wasReady && e.ready1 && e.ready2)
             readyInsert(slot);
@@ -156,23 +152,27 @@ IssueQueue::collectReady(std::vector<Candidate> &out) const
 }
 
 void
-IssueQueue::markIssued(int slot)
+IssueQueue::dropEntry(int slot)
 {
     Entry &e = slots[slot];
-    SIQ_ASSERT(e.valid, "issuing an empty slot");
-    const int bank = slot / cfg.bankSize;
-    // entries normally issue ready, but direct markIssued calls (and
-    // any future squash path) may retire pending operands
+    // entries normally leave ready, but a squash (or a direct
+    // markIssued call) may retire pending operands
     const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
-    bankPending[bank] -= pending;
     pendingOps -= pending;
     if (pending == 0)
         readyRemove(slot); // only ready entries are in the set
     e.valid = false;
     e.robIdx = -1;
-    if (--bankValid[bank] == 0)
+    if (--bankValid[slot / cfg.bankSize] == 0)
         poweredBankCount--;
     count--;
+}
+
+void
+IssueQueue::markIssued(int slot)
+{
+    SIQ_ASSERT(slots[slot].valid, "issuing an empty slot");
+    dropEntry(slot);
     events.issueReads++;
     if (slot == newHead)
         advanceNewHead();
@@ -197,20 +197,9 @@ IssueQueue::squashTail(int n)
     // empty span
     int slot = newTail;
     for (int i = 0; i < m; i++, slot = next(slot)) {
-        Entry &e = slots[slot];
-        if (!e.valid)
+        if (!slots[slot].valid)
             continue; // already issued before the squash
-        const int bank = slot / cfg.bankSize;
-        const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
-        bankPending[bank] -= pending;
-        pendingOps -= pending;
-        if (pending == 0)
-            readyRemove(slot); // only ready entries are in the set
-        e.valid = false;
-        e.robIdx = -1;
-        if (--bankValid[bank] == 0)
-            poweredBankCount--;
-        count--;
+        dropEntry(slot);
         dropped++;
     }
     tail = newTail;
@@ -253,16 +242,6 @@ IssueQueue::advanceNewHead()
         newHead = next(newHead);
         newRegionLen--;
     }
-}
-
-void
-IssueQueue::tickStats()
-{
-    events.cycles++;
-    events.occupancySum += static_cast<std::uint64_t>(count);
-    events.poweredBankCycles +=
-        static_cast<std::uint64_t>(poweredBanks());
-    events.totalBankCycles += static_cast<std::uint64_t>(nbanks);
 }
 
 } // namespace siq

@@ -87,7 +87,7 @@ class IssueQueue
      * @return slot index (for issue bookkeeping).
      */
     int dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
-                 bool ready2, std::uint64_t seq);
+                 bool ready2);
 
     /** Apply a compiler hint: new_head <- tail, set the range. */
     void applyHint(int entries);
@@ -145,19 +145,14 @@ class IssueQueue
      *  cycle (tickStats) and per broadcast (wakeup). */
     int poweredBanks() const { return poweredBankCount; }
     int headSlot() const { return head; }
-    int tailSlot() const { return tail; }
     int newHeadSlot() const { return newHead; }
-    bool slotValid(int slot) const { return slots[slot].valid; }
     /// @}
 
-    /** Per-cycle stats accumulation (call once per cycle). */
-    void tickStats();
-
-    /** @p n idle cycles' worth of tickStats() in one step — the
-     *  queue state is unchanged across them, so the sums are exact
-     *  (core idle fast-forward, DESIGN.md §12). */
+    /** Per-cycle stats accumulation for @p n cycles of unchanged
+     *  queue state: 1 per ticked cycle, or a whole idle stretch in
+     *  one step (core idle fast-forward, DESIGN.md §12). */
     void
-    tickStatsN(std::uint64_t n)
+    tickStats(std::uint64_t n)
     {
         events.cycles += n;
         events.occupancySum += n * static_cast<std::uint64_t>(count);
@@ -178,7 +173,6 @@ class IssueQueue
         int psrc2 = -1;
         bool ready1 = true;
         bool ready2 = true;
-        std::uint64_t seq = 0;
     };
 
     int
@@ -201,16 +195,16 @@ class IssueQueue
 
     void readyInsert(int slot);
     void readyRemove(int slot);
+    /** Invalidate a valid entry (issue or squash). */
+    void dropEntry(int slot);
 
     IqConfig cfg;
     int nbanks;
     std::vector<Entry> slots;
     std::vector<int> bankValid; ///< valid entries per bank
-    /** Non-ready operands of valid entries, per bank; lets wakeup
-     *  skip banks with nothing to match and collectReady/wakeup
-     *  early-out, without changing any event count. */
-    std::vector<int> bankPending;
-    int pendingOps = 0; ///< total non-ready operands (= sum of above)
+    /** Non-ready operands of valid entries: exactly the gated
+     *  comparisons one broadcast pays. */
+    int pendingOps = 0;
     int poweredBankCount = 0; ///< banks with bankValid > 0
     /** Slots of valid entries with both operands ready, sorted by
      *  region position (oldest first). Region-relative order of live
@@ -220,8 +214,8 @@ class IssueQueue
     /**
      * Per-tag wake-up index: waiters[tag] lists the pending operands
      * (slot*2 + operandIdx) registered for that tag at dispatch, so
-     * a broadcast touches only its matches instead of walking every
-     * pending bank. Records can go stale (entry issued pending via
+     * a broadcast touches only its matches instead of walking the
+     * region. Records can go stale (entry issued pending via
      * the direct API, slot reused); wakeup() re-validates each
      * against the live entry, and a pending operand re-registered in
      * a reused slot just deduplicates. Drained (cleared) per

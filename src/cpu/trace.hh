@@ -113,7 +113,6 @@ class FuncTrace
     Window window(std::uint64_t idx);
 
     const Program &program() const { return *_prog; }
-    std::shared_ptr<const Program> programPtr() const { return _prog; }
 
     /** Arena bytes allocated so far (cache accounting). */
     std::uint64_t

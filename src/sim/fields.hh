@@ -53,6 +53,14 @@
 #define SIQ_RUN_TIMING_FIELDS(X)                                         \
     X(generateSeconds) X(traceSeconds) X(compileSeconds)
 
+/** SweepCacheStats: build/hit counters, then trace-cache counters
+ *  (the sweep export writes the trace half only when nonzero). */
+#define SIQ_CACHE_BUILD_FIELDS(X)                                        \
+    X(workloadBuilds) X(workloadHits) X(compileBuilds) X(compileHits)
+
+#define SIQ_CACHE_TRACE_FIELDS(X)                                        \
+    X(traceBuilds) X(traceHits) X(traceEvicted) X(traceBytes)
+
 /**
  * The config structs a sweep spec serializes (writeSpecJson), each
  * listed in JSON key order. One generic writer and reader per value

@@ -204,6 +204,39 @@ aggFromJson(const JsonValue &v)
     return agg;
 }
 
+/** The cache counters as one JSON object; the trace half only when
+ *  @p withTrace. */
+void
+appendCacheJson(std::ostream &os, const SweepCacheStats &c,
+                bool withTrace)
+{
+    const char *sep = "{";
+#define X(f)                                                             \
+    os << sep << "\"" #f "\":" << c.f;                                   \
+    sep = ",";
+    SIQ_CACHE_BUILD_FIELDS(X)
+    if (withTrace) {
+        SIQ_CACHE_TRACE_FIELDS(X)
+    }
+#undef X
+    os << "}";
+}
+
+/** Read appendCacheJson output; the trace half may be absent unless
+ *  @p traceRequired. */
+SweepCacheStats
+cacheFromJson(const JsonValue &v, bool traceRequired)
+{
+    SweepCacheStats s;
+#define X(f) s.f = v.at(#f).asU64();
+    SIQ_CACHE_BUILD_FIELDS(X)
+    if (traceRequired || v.find("traceBuilds") != nullptr) {
+        SIQ_CACHE_TRACE_FIELDS(X)
+    }
+#undef X
+    return s;
+}
+
 } // namespace
 
 // --------------------------------------------------------------- API
@@ -213,19 +246,6 @@ toJson(const RunResult &result)
 {
     std::ostringstream os;
     appendCellJson(os, result);
-    return os.str();
-}
-
-std::string
-toJson(const PowerComparison &cmp)
-{
-    std::ostringstream os;
-    os << "{\"iqDynamicSaving\":" << fmtDouble(cmp.iqDynamicSaving)
-       << ",\"iqStaticSaving\":" << fmtDouble(cmp.iqStaticSaving)
-       << ",\"rfDynamicSaving\":" << fmtDouble(cmp.rfDynamicSaving)
-       << ",\"rfStaticSaving\":" << fmtDouble(cmp.rfStaticSaving)
-       << ",\"nonEmptySaving\":" << fmtDouble(cmp.nonEmptySaving)
-       << "}";
     return os.str();
 }
 
@@ -240,23 +260,15 @@ writeJson(std::ostream &os, const SweepResult &result)
         os << (i ? "," : "") << quote(result.techniques[i]);
     os << "],\"jobs\":" << result.jobsUsed
        << ",\"wallSeconds\":" << fmtDouble(result.wallSeconds)
-       << ",\"cache\":{\"workloadBuilds\":"
-       << result.cache.workloadBuilds
-       << ",\"workloadHits\":" << result.cache.workloadHits
-       << ",\"compileBuilds\":" << result.cache.compileBuilds
-       << ",\"compileHits\":" << result.cache.compileHits;
+       << ",\"cache\":";
     // trace-cache counters (nonzero only with tracing on; all zeroed
     // by canonicalize()) stay out of the historical cache schema so
     // canonical bytes — and the determinism-pin digest — don't move
-    if (result.cache.traceBuilds != 0 || result.cache.traceHits != 0 ||
-        result.cache.traceEvicted != 0 ||
-        result.cache.traceBytes != 0) {
-        os << ",\"traceBuilds\":" << result.cache.traceBuilds
-           << ",\"traceHits\":" << result.cache.traceHits
-           << ",\"traceEvicted\":" << result.cache.traceEvicted
-           << ",\"traceBytes\":" << result.cache.traceBytes;
-    }
-    os << "}";
+    bool anyTrace = false;
+#define X(f) anyTrace |= result.cache.f != 0;
+    SIQ_CACHE_TRACE_FIELDS(X)
+#undef X
+    appendCacheJson(os, result.cache, anyTrace);
     // replication block only when aggregates exist, so seeds == 1
     // output (and the empty matrix) keeps the unreplicated schema and
     // always reads back
@@ -298,17 +310,7 @@ readJson(std::istream &is)
         result.techniques.push_back(t.asString());
     result.jobsUsed = static_cast<int>(root.at("jobs").asU64());
     result.wallSeconds = root.at("wallSeconds").asDouble();
-    const JsonValue &cache = root.at("cache");
-    result.cache.workloadBuilds = cache.at("workloadBuilds").asU64();
-    result.cache.workloadHits = cache.at("workloadHits").asU64();
-    result.cache.compileBuilds = cache.at("compileBuilds").asU64();
-    result.cache.compileHits = cache.at("compileHits").asU64();
-    if (const JsonValue *tb = cache.find("traceBuilds")) {
-        result.cache.traceBuilds = tb->asU64();
-        result.cache.traceHits = cache.at("traceHits").asU64();
-        result.cache.traceEvicted = cache.at("traceEvicted").asU64();
-        result.cache.traceBytes = cache.at("traceBytes").asU64();
-    }
+    result.cache = cacheFromJson(root.at("cache"), false);
     for (const auto &cell : root.at("cells").array)
         result.cells.push_back(cellFromJson(cell));
     if (const JsonValue *seeds = root.find("seeds")) {
@@ -693,31 +695,14 @@ std::string
 toJson(const SweepCacheStats &cache)
 {
     std::ostringstream os;
-    os << "{\"workloadBuilds\":" << cache.workloadBuilds
-       << ",\"workloadHits\":" << cache.workloadHits
-       << ",\"compileBuilds\":" << cache.compileBuilds
-       << ",\"compileHits\":" << cache.compileHits
-       << ",\"traceBuilds\":" << cache.traceBuilds
-       << ",\"traceHits\":" << cache.traceHits
-       << ",\"traceEvicted\":" << cache.traceEvicted
-       << ",\"traceBytes\":" << cache.traceBytes << "}";
+    appendCacheJson(os, cache, true);
     return os.str();
 }
 
 SweepCacheStats
 cacheStatsFromJson(const std::string &text)
 {
-    const JsonValue root = json::parse(text);
-    SweepCacheStats s;
-    s.workloadBuilds = root.at("workloadBuilds").asU64();
-    s.workloadHits = root.at("workloadHits").asU64();
-    s.compileBuilds = root.at("compileBuilds").asU64();
-    s.compileHits = root.at("compileHits").asU64();
-    s.traceBuilds = root.at("traceBuilds").asU64();
-    s.traceHits = root.at("traceHits").asU64();
-    s.traceEvicted = root.at("traceEvicted").asU64();
-    s.traceBytes = root.at("traceBytes").asU64();
-    return s;
+    return cacheFromJson(json::parse(text), true);
 }
 
 void

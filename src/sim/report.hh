@@ -33,9 +33,6 @@ namespace siq::sim
 /** Serialize one run (a flat JSON object). */
 std::string toJson(const RunResult &result);
 
-/** Serialize the savings of one technique run vs its baseline. */
-std::string toJson(const PowerComparison &cmp);
-
 /** Serialize a whole sweep matrix. Replicated sweeps (seeds > 1)
  *  additionally carry "seeds" and a per-cell "aggregates" array
  *  (n/mean/stddev/ci95 per metric); seeds == 1 output is

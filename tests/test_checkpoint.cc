@@ -248,6 +248,54 @@ TEST(CheckpointJson, RoundTripWithAndWithoutAggregate)
     EXPECT_EQ(toJson(repBack), toJson(rep));
 }
 
+/** Every cache counter distinct and nonzero, so a swapped or dropped
+ *  field shows in the bytes and in the round trip. */
+sim::SweepCacheStats
+distinctCacheStats()
+{
+    sim::SweepCacheStats c;
+    c.workloadBuilds = 3;
+    c.workloadHits = 17;
+    c.compileBuilds = 5;
+    c.compileHits = 29;
+    c.traceBuilds = 7;
+    c.traceHits = 41;
+    c.traceEvicted = 2;
+    c.traceBytes = 123456789;
+    return c;
+}
+
+TEST(CacheStatsJson, PinnedBytesAndExactRoundTrip)
+{
+    const sim::SweepCacheStats cache = distinctCacheStats();
+    const std::string text = sim::toJson(cache);
+    EXPECT_EQ(fnv1a64(text), 0x8f8d0ab725e0c587ull) << text;
+    EXPECT_EQ(sim::cacheStatsFromJson(text), cache);
+
+    // the sweep report's cache block carries the same counters
+    sim::SweepResult result;
+    result.cache = cache;
+    std::ostringstream os;
+    sim::writeJson(os, result);
+    std::istringstream is(os.str());
+    EXPECT_EQ(sim::readJson(is).cache, cache);
+}
+
+TEST(CacheStatsJson, ReportOmitsAllZeroTraceCounters)
+{
+    sim::SweepResult result;
+    result.cache = distinctCacheStats();
+    result.cache.traceBuilds = 0;
+    result.cache.traceHits = 0;
+    result.cache.traceEvicted = 0;
+    result.cache.traceBytes = 0;
+    std::ostringstream os;
+    sim::writeJson(os, result);
+    EXPECT_EQ(os.str().find("trace"), std::string::npos) << os.str();
+    std::istringstream is(os.str());
+    EXPECT_EQ(sim::readJson(is).cache, result.cache);
+}
+
 TEST(CellHooks, FilterSkipsAndCallbackFiresOncePerCell)
 {
     auto spec = tinySpec();

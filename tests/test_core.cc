@@ -10,9 +10,12 @@
 
 #include <memory>
 
+#include "compiler/pass.hh"
 #include "cpu/core.hh"
 #include "ir/exec.hh"
+#include "sim/technique.hh"
 #include "workloads/builder.hh"
+#include "workloads/family.hh"
 
 namespace siq
 {
@@ -597,6 +600,55 @@ TEST(SpecFrontEnd, SharedTraceMatchesPrivateTrace)
     ASSERT_TRUE(shared.done());
     EXPECT_TRUE(solo.stats() == shared.stats());
     EXPECT_EQ(solo.cycle(), shared.cycle());
+}
+
+// --------------------------------------------------------------------
+// Idle fast-forward (DESIGN.md §12): run() may jump over provably dead
+// cycles; a loop of public tick() calls never does. Both must land on
+// the same counters and the same cycle.
+// --------------------------------------------------------------------
+
+TEST(FastForward, RunMatchesTickLoop)
+{
+    constexpr std::uint64_t insts = 20000;
+    const std::vector<std::string> techniques = {
+        "baseline", "noop", "extension", "improved", "abella",
+        "folegnani"};
+    for (const std::string &family : workloads::familyNames()) {
+        sim::RunConfig cfg;
+        cfg.workload.repDivisor = 40;
+        const Program plain = workloads::generate(family, cfg.workload);
+        for (const std::string &tech : techniques) {
+            const sim::TechniqueDef *def = sim::findTechnique(tech);
+            ASSERT_NE(def, nullptr) << tech;
+            cfg.tech = def->tag;
+            Program prog = plain;
+            if (def->compilerConfig) {
+                if (const auto cc = def->compilerConfig(cfg))
+                    compiler::annotate(prog, *cc);
+            }
+            for (const bool spec : {false, true}) {
+                SCOPED_TRACE(family + "/" + tech +
+                             (spec ? "/spec" : "/oracle"));
+                cfg.core.specFrontEnd = spec;
+                std::unique_ptr<IqLimitController> ctrlRun;
+                std::unique_ptr<IqLimitController> ctrlTick;
+                if (def->controller) {
+                    ctrlRun = def->controller(cfg);
+                    ctrlTick = def->controller(cfg);
+                }
+                Core viaRun(prog, cfg.core, ctrlRun.get());
+                viaRun.run(insts);
+                Core viaTick(prog, cfg.core, ctrlTick.get());
+                while (!viaTick.done() &&
+                       viaTick.stats().committed < insts)
+                    viaTick.tick();
+                EXPECT_TRUE(viaRun.stats() == viaTick.stats());
+                EXPECT_TRUE(viaRun.iqEvents() == viaTick.iqEvents());
+                EXPECT_EQ(viaRun.cycle(), viaTick.cycle());
+            }
+        }
+    }
 }
 
 } // namespace

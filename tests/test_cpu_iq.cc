@@ -27,8 +27,8 @@ smallIq()
 TEST(IssueQueue, DispatchFillsTail)
 {
     IssueQueue iq(smallIq());
-    const int s0 = iq.dispatch(0, -1, true, -1, true, 0);
-    const int s1 = iq.dispatch(1, -1, true, -1, true, 1);
+    const int s0 = iq.dispatch(0, -1, true, -1, true);
+    const int s1 = iq.dispatch(1, -1, true, -1, true);
     EXPECT_EQ(s0, 0);
     EXPECT_EQ(s1, 1);
     EXPECT_EQ(iq.validCount(), 2);
@@ -40,7 +40,7 @@ TEST(IssueQueue, RegionFullEvenWithHoles)
     IqConfig cfg = smallIq();
     IssueQueue iq(cfg);
     for (int i = 0; i < cfg.numEntries; i++)
-        iq.dispatch(i, -1, true, -1, true, i);
+        iq.dispatch(i, -1, true, -1, true);
     EXPECT_TRUE(iq.regionFull());
     // issue something in the middle: still full (non-collapsible)
     iq.markIssued(5);
@@ -55,7 +55,7 @@ TEST(IssueQueue, HeadSkipsHolesUpToNextValid)
 {
     IssueQueue iq(smallIq());
     for (int i = 0; i < 6; i++)
-        iq.dispatch(i, -1, true, -1, true, i);
+        iq.dispatch(i, -1, true, -1, true);
     iq.markIssued(1);
     iq.markIssued(2);
     EXPECT_EQ(iq.headSlot(), 0);
@@ -74,10 +74,10 @@ TEST(IssueQueue, Figure2NewHeadOperation)
     cfg.bankSize = 4;
     IssueQueue iq(cfg);
     iq.applyHint(4);
-    const int a = iq.dispatch(0, -1, true, -1, true, 0); // a
-    const int bSlot = iq.dispatch(1, -1, true, -1, true, 1);
-    const int c = iq.dispatch(2, -1, true, -1, true, 2);
-    iq.dispatch(3, -1, true, -1, true, 3);               // d
+    const int a = iq.dispatch(0, -1, true, -1, true); // a
+    const int bSlot = iq.dispatch(1, -1, true, -1, true);
+    const int c = iq.dispatch(2, -1, true, -1, true);
+    iq.dispatch(3, -1, true, -1, true);               // d
     EXPECT_TRUE(iq.rangeBlocked()) << "four entries in range 4";
     EXPECT_FALSE(iq.canDispatch());
     // b and c issued earlier, leaving holes (figure 2(a))
@@ -92,7 +92,7 @@ TEST(IssueQueue, Figure2NewHeadOperation)
     // so up to three more instructions can be dispatched (e, f, g)
     for (int i = 4; i < 7; i++) {
         EXPECT_TRUE(iq.canDispatch()) << "entry " << i;
-        iq.dispatch(i, -1, true, -1, true, i);
+        iq.dispatch(i, -1, true, -1, true);
     }
     EXPECT_TRUE(iq.rangeBlocked());
 }
@@ -101,12 +101,12 @@ TEST(IssueQueue, HintResetsNewHeadToTail)
 {
     IssueQueue iq(smallIq());
     for (int i = 0; i < 5; i++)
-        iq.dispatch(i, -1, true, -1, true, i);
+        iq.dispatch(i, -1, true, -1, true);
     iq.applyHint(2);
     EXPECT_EQ(iq.distNewHeadToTail(), 0)
         << "older instructions no longer count against the range";
-    iq.dispatch(5, -1, true, -1, true, 5);
-    iq.dispatch(6, -1, true, -1, true, 6);
+    iq.dispatch(5, -1, true, -1, true);
+    iq.dispatch(6, -1, true, -1, true);
     EXPECT_TRUE(iq.rangeBlocked());
     EXPECT_EQ(iq.validCount(), 7);
 }
@@ -123,8 +123,8 @@ TEST(IssueQueue, HintValueClamped)
 TEST(IssueQueue, WakeupSetsReadyAndCounts)
 {
     IssueQueue iq(smallIq());
-    iq.dispatch(0, 7, false, 9, false, 0);
-    iq.dispatch(1, 7, false, -1, true, 1);
+    iq.dispatch(0, 7, false, 9, false);
+    iq.dispatch(1, 7, false, -1, true);
     iq.wakeup(7);
     auto &ev = iq.events;
     EXPECT_EQ(ev.broadcasts, 1u);
@@ -150,7 +150,7 @@ TEST(IssueQueue, BankGatingFollowsOccupancy)
     EXPECT_EQ(iq.poweredBanks(), 0);
     std::vector<int> slots;
     for (int i = 0; i < 9; i++)
-        slots.push_back(iq.dispatch(i, -1, true, -1, true, i));
+        slots.push_back(iq.dispatch(i, -1, true, -1, true));
     EXPECT_EQ(iq.poweredBanks(), 3); // slots 0..8 span 3 banks
     for (int i = 0; i < 4; i++)
         iq.markIssued(slots[static_cast<std::size_t>(i)]);
@@ -160,9 +160,9 @@ TEST(IssueQueue, BankGatingFollowsOccupancy)
 TEST(IssueQueue, CollectReadyIsOldestFirst)
 {
     IssueQueue iq(smallIq());
-    iq.dispatch(10, -1, true, -1, true, 100);
-    iq.dispatch(11, -1, true, -1, true, 101);
-    iq.dispatch(12, -1, true, -1, true, 102);
+    iq.dispatch(10, -1, true, -1, true);
+    iq.dispatch(11, -1, true, -1, true);
+    iq.dispatch(12, -1, true, -1, true);
     std::vector<IssueQueue::Candidate> ready;
     iq.collectReady(ready);
     ASSERT_EQ(ready.size(), 3u);
@@ -185,7 +185,7 @@ TEST(IssueQueue, WrapAroundKeepsInvariants)
             ASSERT_TRUE(iq.canDispatch());
             slots.push_back(
                 iq.dispatch(static_cast<int>(seq % 128), -1, true,
-                            -1, true, seq));
+                            -1, true));
             seq++;
         }
         // issue out of order: odd then even
@@ -199,10 +199,11 @@ TEST(IssueQueue, WrapAroundKeepsInvariants)
 }
 
 /**
- * Randomized stress for the bank-skipping wakeup/collectReady fast
- * path: a naive shadow model (full-region walk, the pre-optimization
- * semantics) must agree with the queue on every event count, ready
- * bit and selection candidate across thousands of mixed operations.
+ * Randomized stress for the waiter-index wakeup and the ordered
+ * ready set: a naive shadow model (full-region walk, the
+ * pre-optimization semantics) must agree with the queue on every
+ * event count, ready bit and selection candidate across thousands of
+ * mixed operations.
  */
 TEST(IssueQueue, FastPathMatchesNaiveReference)
 {
@@ -236,7 +237,7 @@ TEST(IssueQueue, FastPathMatchesNaiveReference)
             const bool r1 = p1 < 0 || rng.chance(0.4);
             const bool r2 = p2 < 0 || rng.chance(0.4);
             const int slot = iq.dispatch(static_cast<int>(seq % 128),
-                                         p1, r1, p2, r2, seq);
+                                         p1, r1, p2, r2);
             shadow.push_back({static_cast<int>(seq % 128), p1, p2,
                               r1 || p1 < 0, r2 || p2 < 0, slot});
             seq++;
@@ -308,9 +309,9 @@ TEST(IssueQueue, FastPathMatchesNaiveReference)
 TEST(IssueQueue, TickStatsAccumulate)
 {
     IssueQueue iq(smallIq());
-    iq.dispatch(0, -1, true, -1, true, 0);
-    iq.tickStats();
-    iq.tickStats();
+    iq.dispatch(0, -1, true, -1, true);
+    iq.tickStats(1);
+    iq.tickStats(1);
     EXPECT_EQ(iq.events.cycles, 2u);
     EXPECT_EQ(iq.events.occupancySum, 2u);
     EXPECT_EQ(iq.events.poweredBankCycles, 2u);

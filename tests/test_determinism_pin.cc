@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "sim/report.hh"
 #include "sim/sweep.hh"
@@ -159,8 +160,8 @@ TEST(DeterminismPin, ParameterizedFamiliesMatchGoldenDigest)
 }
 
 // --------------------------------------------------------------------
-// Speculative front end: not digest-pinned (its counters are new),
-// but it must be exactly as deterministic as the oracle mode.
+// Speculative front end: pinned like the oracle grids, and exactly as
+// deterministic.
 // --------------------------------------------------------------------
 
 sim::SweepSpec
@@ -179,6 +180,32 @@ canonicalJson(const sim::SweepResult &r)
     std::ostringstream json;
     sim::writeJson(json, copy);
     return json.str();
+}
+
+/** Recorded at the commit that introduced this pin, before the
+ *  wrong-path fetch stage was refactored. Same regeneration policy
+ *  as kGoldenDigest. */
+constexpr std::uint64_t kSpeculativeGoldenDigest = 0x7d100092d8ae8b3full;
+constexpr std::uint64_t kSpeculativeParameterizedGoldenDigest =
+    0xa72b53f769ac10e5ull;
+
+TEST(DeterminismPin, SpeculativeGridsMatchGoldenDigests)
+{
+    sim::SweepSpec param = parameterizedPinnedSpec();
+    param.base.core.specFrontEnd = true;
+    const std::pair<sim::SweepSpec, std::uint64_t> grids[] = {
+        {speculativeSpec(), kSpeculativeGoldenDigest},
+        {param, kSpeculativeParameterizedGoldenDigest},
+    };
+    for (const auto &[spec, golden] : grids) {
+        sim::ExperimentRunner runner;
+        const std::uint64_t digest =
+            fnv1a64(canonicalJson(runner.run(spec)));
+        EXPECT_EQ(digest, golden)
+            << "speculative sweep JSON changed: actual digest is "
+            << hex(digest) << " (golden " << hex(golden) << ").\n"
+            << "Same policy as kGoldenDigest.";
+    }
 }
 
 /** Wrong-path fetch, squash recovery and the speculation counters
