@@ -1,5 +1,7 @@
 #include "cpu/bpred.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace siq
@@ -11,6 +13,14 @@ DirectionPredictor::DirectionPredictor(std::uint32_t gshareEntries,
                                        std::uint32_t bimodalEntries,
                                        std::uint32_t selectorEntries)
 {
+    // tables are indexed by masking, which is only a modulo for
+    // power-of-two sizes
+    SIQ_ASSERT(std::has_single_bit(gshareEntries) &&
+               std::has_single_bit(bimodalEntries) &&
+               std::has_single_bit(selectorEntries),
+               "predictor table sizes must be powers of two: ",
+               gshareEntries, " gshare, ", bimodalEntries, " bimodal, ",
+               selectorEntries, " selector");
     gshare.assign(gshareEntries, 1);   // weakly not-taken
     bimodal.assign(bimodalEntries, 1);
     selector.assign(selectorEntries, 2); // weakly gshare
@@ -28,9 +38,9 @@ bool
 DirectionPredictor::predict(std::uint64_t pc) const
 {
     const std::uint64_t idx = pc >> 2;
-    const auto g = gshare[(idx ^ history) % gshare.size()];
-    const auto b = bimodal[idx % bimodal.size()];
-    const auto s = selector[idx % selector.size()];
+    const auto g = gshare[(idx ^ history) & (gshare.size() - 1)];
+    const auto b = bimodal[idx & (bimodal.size() - 1)];
+    const auto s = selector[idx & (selector.size() - 1)];
     return (s >= 2 ? g : b) >= 2;
 }
 
@@ -38,9 +48,9 @@ void
 DirectionPredictor::update(std::uint64_t pc, bool taken)
 {
     const std::uint64_t idx = pc >> 2;
-    auto &g = gshare[(idx ^ history) % gshare.size()];
-    auto &b = bimodal[idx % bimodal.size()];
-    auto &s = selector[idx % selector.size()];
+    auto &g = gshare[(idx ^ history) & (gshare.size() - 1)];
+    auto &b = bimodal[idx & (bimodal.size() - 1)];
+    auto &s = selector[idx & (selector.size() - 1)];
     const bool gCorrect = (g >= 2) == taken;
     const bool bCorrect = (b >= 2) == taken;
     if (gCorrect != bCorrect) {
@@ -63,15 +73,19 @@ DirectionPredictor::speculate(bool taken)
 Btb::Btb(std::uint32_t numEntries, std::uint32_t assoc) : _assoc(assoc)
 {
     SIQ_ASSERT(assoc > 0 && numEntries % assoc == 0);
+    const std::uint32_t sets = numEntries / assoc;
+    SIQ_ASSERT(std::has_single_bit(sets),
+               "BTB set count must be a power of two: ", sets);
+    setMask = sets - 1;
+    setShift = std::countr_zero(sets);
     entries.assign(numEntries, {});
 }
 
 std::uint64_t
 Btb::lookup(std::uint64_t pc) const
 {
-    const std::size_t sets = entries.size() / _assoc;
-    const std::size_t set = (pc >> 2) % sets;
-    const std::uint64_t tag = (pc >> 2) / sets;
+    const std::size_t set = (pc >> 2) & setMask;
+    const std::uint64_t tag = (pc >> 2) >> setShift;
     for (std::size_t w = 0; w < _assoc; w++) {
         const auto &e = entries[set * _assoc + w];
         if (e.valid && e.tag == tag)
@@ -83,9 +97,8 @@ Btb::lookup(std::uint64_t pc) const
 void
 Btb::update(std::uint64_t pc, std::uint64_t target)
 {
-    const std::size_t sets = entries.size() / _assoc;
-    const std::size_t set = (pc >> 2) % sets;
-    const std::uint64_t tag = (pc >> 2) / sets;
+    const std::size_t set = (pc >> 2) & setMask;
+    const std::uint64_t tag = (pc >> 2) >> setShift;
     use++;
     std::size_t victim = set * _assoc;
     std::uint64_t lru = ~0ull;

@@ -26,7 +26,9 @@
 namespace siq
 {
 
-/** Branch predictor configuration (Table 1 defaults). */
+/** Branch predictor configuration (Table 1 defaults). The direction
+ *  tables and the BTB set count (entries / assoc) must be powers of
+ *  two: they are indexed by masking. */
 struct BpredConfig
 {
     std::uint32_t gshareEntries = 2048;
@@ -99,6 +101,8 @@ class Btb
     };
 
     std::uint32_t _assoc;
+    std::uint64_t setMask = 0; ///< sets - 1 (sets is a power of two)
+    int setShift = 0;          ///< log2(sets)
     std::vector<Entry> entries;
     std::uint64_t use = 0;
 };

@@ -53,6 +53,16 @@ CompletionWheel::nextDue(std::uint64_t now) const
 {
     if (inFlight == 0)
         return ~0ull;
+    // an event due at now + k (k < one lap) sits in slot (now + k) &
+    // mask, so the first slot holding one due on this lap is the
+    // earliest; later-lap events sharing those slots are skipped
+    for (std::uint64_t k = 0; k <= mask; k++) {
+        for (const Event &ev : slots[(now + k) & mask]) {
+            if (ev.cycle == now + k)
+                return ev.cycle;
+        }
+    }
+    // nothing due within one lap: only beyond-horizon events remain
     std::uint64_t best = ~0ull;
     for (const auto &vec : slots) {
         for (const Event &ev : vec) {
@@ -64,9 +74,9 @@ CompletionWheel::nextDue(std::uint64_t now) const
     return best;
 }
 
-Core::Core(const Program &prog_, const CoreConfig &config,
+Core::Core(const Program &prog, const CoreConfig &config,
            IqLimitController *controller, FuncTrace *trace)
-    : prog(prog_), cfg(config), ctrl(controller), mem(config.mem),
+    : cfg(config), ctrl(controller), mem(config.mem),
       _bpred(config.bpred), iq(config.iq), lsq(config.lsq),
       intRegs(config.intRegs), fpRegs(config.fpRegs)
 {
@@ -75,14 +85,16 @@ Core::Core(const Program &prog_, const CoreConfig &config,
         // alive for the core's lifetime (Core(Program&&) is deleted)
         ownTrace = std::make_unique<FuncTrace>(
             std::shared_ptr<const Program>(
-                std::shared_ptr<const Program>(), &prog_));
+                std::shared_ptr<const Program>(), &prog));
         trace = ownTrace.get();
     }
     // replaying a trace of a different program would silently
     // simulate the wrong instruction stream
-    SIQ_ASSERT(trace->program().contentHash == prog_.contentHash,
+    SIQ_ASSERT(trace->program().contentHash == prog.contentHash,
                "trace/program content mismatch");
     stream = TraceCursor(trace);
+    pcs = &trace->pcTable();
+    fetchLineShift = std::countr_zero(cfg.mem.l1i.lineBytes);
     SIQ_ASSERT(cfg.robSize > 0, "empty ROB");
     SIQ_ASSERT(cfg.fetchQueueSize > 0, "empty fetch queue");
     SIQ_ASSERT(cfg.intRegs.numPhys <= regHandleStride &&
@@ -94,22 +106,6 @@ Core::Core(const Program &prog_, const CoreConfig &config,
     robGen.assign(static_cast<std::size_t>(cfg.robSize), 0);
     fetchQueue.assign(static_cast<std::size_t>(cfg.fetchQueueSize),
                       DynInst{});
-    if (cfg.specFrontEnd) {
-        // wrong-path fetch resolves predicted target PCs statically
-        for (std::size_t p = 0; p < prog.procs.size(); p++) {
-            const Procedure &proc = prog.procs[p];
-            for (std::size_t b = 0; b < proc.blocks.size(); b++) {
-                const BasicBlock &blk = proc.blocks[b];
-                for (std::size_t i = 0; i < blk.insts.size(); i++) {
-                    pcIndex.emplace(
-                        blk.insts[i].pc,
-                        PcLoc{&blk.insts[i], static_cast<int>(p),
-                              static_cast<int>(b),
-                              static_cast<int>(i)});
-                }
-            }
-        }
-    }
     // the wheel's one-lap horizon covers every latency the model can
     // produce: FU latencies plus the configured cache/memory path
     wheel.init(std::max({maxOpcodeLatency(), cfg.mem.l1d.hitLatency,
@@ -180,10 +176,9 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
             if (cfg.specFrontEnd) {
                 // direct branches resolve both targets at decode, so
                 // the wrong path is the other static arm
-                const PcLoc &loc = pcIndex.at(pc);
-                wpStart = di.taken
-                              ? sequentialPc(loc)
-                              : blockStartPc(prog, loc.proc, si.target);
+                const PcEntry *e = pcs->find(pc);
+                SIQ_ASSERT(e != nullptr, "fetched PC not in the table");
+                wpStart = di.taken ? e->seqPc : e->takenPc;
             }
         } else if (di.taken && btbTarget != actualNext) {
             // right direction, target resolved at decode
@@ -297,7 +292,7 @@ void
 Core::issueStage()
 {
     iq.collectReady(readyScratch);
-    std::array<int, coreNumFuClasses> fuUsed{};
+    FuUse fuUsed{};
     const int regionAtStart = iq.regionSize();
     int issued = 0;
 
@@ -305,16 +300,9 @@ Core::issueStage()
         if (issued >= cfg.issueWidth)
             break;
         const RobHot &h = robHot[cand.robIdx];
+        if (issueBlock(h, fuUsed) != IssueBlock::None)
+            continue;
         const int fu = h.fu;
-        // a pipelined unit is busy for one issue slot; a
-        // non-pipelined one (divides) holds its unit for the full
-        // latency, tracked in fuUnitsBusy
-        if (fu != static_cast<int>(FuClass::None) &&
-            fuUsed[fu] + fuUnitsBusy(fu) >= cfg.fuCounts[fu]) {
-            continue;
-        }
-        if ((h.flags & robFlagLoad) && lsq.loadBlocked(h.lsqIdx))
-            continue;
 
         const bool wrongPath = (h.flags & robFlagWrongPath) != 0;
         int latency = h.latency;
@@ -354,7 +342,21 @@ Core::issueStage()
         if (regionAtStart - 1 - cand.distFromHead < cfg.iq.bankSize)
             signals.issuedFromYoungestBank++;
     }
-    signals.issuedTotal = issued;
+}
+
+Core::IssueBlock
+Core::issueBlock(const RobHot &h, const FuUse &fuUsed)
+{
+    // a pipelined unit is busy for one issue slot; a non-pipelined
+    // one (divides) holds its unit for the full latency, tracked in
+    // fuUnitsBusy
+    const int fu = h.fu;
+    if (fu != static_cast<int>(FuClass::None) &&
+        fuUsed[fu] + fuUnitsBusy(fu) >= cfg.fuCounts[fu])
+        return IssueBlock::Fu;
+    if ((h.flags & robFlagLoad) && lsq.loadBlocked(h.lsqIdx))
+        return IssueBlock::Load;
+    return IssueBlock::None;
 }
 
 Core::DispatchBlock
@@ -522,7 +524,7 @@ Core::dispatchStage()
 bool
 Core::icacheHit(std::uint64_t pc)
 {
-    const std::uint64_t line = pc / cfg.mem.l1i.lineBytes;
+    const std::uint64_t line = pc >> fetchLineShift;
     if (line == lastFetchLine)
         return true;
     const int latency = mem.instAccess(pc);
@@ -611,15 +613,14 @@ Core::wrongPathFetchStage()
 {
     int fetched = 0;
     while (fetched < cfg.fetchWidth && fqCount < cfg.fetchQueueSize) {
-        const auto it = pcIndex.find(wpPc);
-        if (it == pcIndex.end()) {
+        const PcEntry *e = pcs->find(wpPc);
+        if (e == nullptr) {
             // a stale BTB/RAS entry predicted a PC that is no longer
             // (or never was) an instruction: misfetch, gate until the
             // squash
             wpStalled = true;
             return;
         }
-        const PcLoc &loc = it->second;
         if (!icacheHit(wpPc))
             return;
 
@@ -628,12 +629,12 @@ Core::wrongPathFetchStage()
         // Hint NOOPs, their applyHint cannot be undone by the squash)
         di.hintApplied = true;
         di.wrongPath = true;
-        di.si = loc.si;
+        di.si = e->si;
         // loads/stores need an address; the architectural one does
         // not exist (the op never really executes)
-        di.memAddr = wrongPathMemAddr(wpPc);
+        di.memAddr = e->wrongPathAddr;
 
-        const WpNext nxt = wrongPathNextPc(loc);
+        const WpNext nxt = wrongPathNextPc(*e);
         _stats.wrongPathFetched++;
         fetched++;
 
@@ -648,37 +649,25 @@ Core::wrongPathFetchStage()
     }
 }
 
-std::uint64_t
-Core::sequentialPc(const PcLoc &loc) const
-{
-    const BasicBlock &blk = prog.procs[loc.proc].blocks[loc.block];
-    if (loc.instIdx + 1 < static_cast<int>(blk.insts.size()))
-        return blk.insts[loc.instIdx + 1].pc;
-    return blockStartPc(prog, loc.proc, blk.fallthrough);
-}
-
 Core::WpNext
-Core::wrongPathNextPc(const PcLoc &loc)
+Core::wrongPathNextPc(const PcEntry &e)
 {
-    const StaticInst &si = *loc.si;
+    const StaticInst &si = *e.si;
     if (si.traits().isBranch) {
         // predictor-guided: shifts speculative history (restored at
         // the squash) but trains no table — the outcome is unknown
-        const bool taken = _bpred.speculateDirection(si.pc);
-        if (taken)
-            return {blockStartPc(prog, loc.proc, si.target), true};
-        return {sequentialPc(loc), false};
+        if (_bpred.speculateDirection(si.pc))
+            return {e.takenPc, true};
+        return {e.seqPc, false};
     }
     switch (si.op) {
     case Opcode::Jump:
-        return {blockStartPc(prog, loc.proc, si.target), true};
+        return {e.takenPc, true};
     case Opcode::Call:
         // same push value as correct-path fetch (the caller block's
-        // fallthrough); block 0 is the callee's entry
-        _bpred.rasPush(blockStartPc(
-            prog, loc.proc,
-            prog.procs[loc.proc].blocks[loc.block].fallthrough));
-        return {blockStartPc(prog, si.target, 0), true};
+        // fallthrough); takenPc is the callee's entry
+        _bpred.rasPush(e.rasPushPc);
+        return {e.takenPc, true};
     case Opcode::Ret:
         return {_bpred.rasPop(), true};
     case Opcode::IJump:
@@ -686,20 +675,8 @@ Core::wrongPathNextPc(const PcLoc &loc)
     case Opcode::Halt:
         return {0, true};
     default:
-        return {sequentialPc(loc), false};
+        return {e.seqPc, false};
     }
-}
-
-std::uint64_t
-Core::wrongPathMemAddr(std::uint64_t pc) const
-{
-    // splitmix64 finalizer: deterministic, well-spread synthetic word
-    // address — same pc, same address, every run and thread count
-    std::uint64_t z = pc + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z % prog.memWords;
 }
 
 void
@@ -838,7 +815,6 @@ void
 Core::tick()
 {
     signals = ResizeSignals{};
-    signals.cycle = now;
 
     commitStage();
     writebackStage();
@@ -849,8 +825,6 @@ Core::tick()
     accountCycles(1);
     if (ctrl != nullptr) {
         signals.iqValid = iq.validCount();
-        signals.iqRegionLen = iq.regionSize();
-        signals.robCount = robCount;
         ctrl->tick(signals);
     }
     now++;
@@ -898,18 +872,19 @@ Core::maybeFastForward()
     // unblock when a non-pipelined unit frees; load-blocked ones
     // only via completion events, already bounded above.
     iq.collectReady(readyScratch);
+    const FuUse noneUsed{};
     for (const auto &cand : readyScratch) {
         const RobHot &h = robHot[cand.robIdx];
-        const int fu = h.fu;
-        if (fu != static_cast<int>(FuClass::None) &&
-            fuUnitsBusy(fu) >= cfg.fuCounts[fu]) {
-            for (const std::uint64_t until : nonPipedBusy[fu])
+        switch (issueBlock(h, noneUsed)) {
+        case IssueBlock::Fu:
+            for (const std::uint64_t until : nonPipedBusy[h.fu])
                 next = std::min(next, until);
-            continue;
+            break;
+        case IssueBlock::Load:
+            break;
+        case IssueBlock::None:
+            return; // issuable right now
         }
-        if ((h.flags & robFlagLoad) && lsq.loadBlocked(h.lsqIdx))
-            continue;
-        return; // issuable right now
     }
 
     // dispatch: the stage's own verdict names the stall counter the
@@ -959,13 +934,9 @@ Core::maybeFastForward()
         // the controller sees exactly the sequence it would have
         ResizeSignals s;
         s.iqValid = iq.validCount();
-        s.iqRegionLen = iq.regionSize();
-        s.robCount = robCount;
         s.dispatchStalledByLimit = stalledByLimit;
-        for (std::uint64_t u = now; u < next; u++) {
-            s.cycle = u;
+        for (std::uint64_t u = 0; u < delta; u++)
             ctrl->tick(s);
-        }
     }
     now = next;
 }

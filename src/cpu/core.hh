@@ -43,7 +43,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/bpred.hh"
@@ -251,8 +250,10 @@ class CompletionWheel
     /**
      * Earliest due cycle of any in-flight event (all are >= @p now:
      * events are scheduled in the future and popped exactly on their
-     * cycle). Returns ~0 when the wheel is empty. O(slots + events);
-     * only called by the idle fast-forward, never on the per-cycle
+     * cycle). Returns ~0 when the wheel is empty. Scans forward from
+     * @p now's slot and stops at the first event due on this lap;
+     * only when none is due within one lap does it scan every slot.
+     * Only called by the idle fast-forward, never on the per-cycle
      * path.
      */
     std::uint64_t nextDue(std::uint64_t now) const;
@@ -394,6 +395,16 @@ class Core
                b == DispatchBlock::IqLimit;
     }
 
+    /** Issue slots taken this cycle per FU class. */
+    using FuUse = std::array<int, coreNumFuClasses>;
+    /** Why a ready IQ entry cannot issue this cycle, @p fuUsed units
+     *  already taken: its FU class is out of units (pipelined issues
+     *  this cycle plus non-pipelined ops still holding theirs), or it
+     *  is a load an older store blocks. The select stage and the
+     *  idle fast-forward both ask this. */
+    enum class IssueBlock : std::uint8_t { None, Fu, Load };
+    IssueBlock issueBlock(const RobHot &h, const FuUse &fuUsed);
+
     /** Fetch (either path) has work and room; the resume and icache
      *  timers gate it on top. wpActive implies fetchBlocked. */
     bool
@@ -420,9 +431,10 @@ class Core
      * stall counter the skipped cycles would have accumulated, and
      * ticking the resize controller through them — instead of
      * walking every stage through each dead cycle. It asks the
-     * stages' own predicates (dispatchBlock, fetchWouldRun), so every
-     * counter stays byte-identical to a tick() loop (FastForward.*
-     * in tests/test_core.cc). No-op unless idleness is proven.
+     * stages' own predicates (issueBlock, dispatchBlock,
+     * fetchWouldRun), so every counter stays byte-identical to a
+     * tick() loop (FastForward.* in tests/test_core.cc). No-op
+     * unless idleness is proven.
      */
     void maybeFastForward();
 
@@ -431,18 +443,6 @@ class Core
 
     /// @name Speculative front end (cfg.specFrontEnd; DESIGN.md §14).
     /// @{
-    /** Static location of one instruction, for wrong-path fetch. */
-    struct PcLoc
-    {
-        const StaticInst *si = nullptr;
-        int proc = 0;
-        int block = 0;
-        int instIdx = 0;
-    };
-
-    /** The instruction after @p loc in the static layout. */
-    std::uint64_t sequentialPc(const PcLoc &loc) const;
-
     /** Arm wrong-path fetch at @p startPc (0 gates the front end)
      *  after a mispredicted branch was fetched. */
     void armWrongPath(std::uint64_t startPc);
@@ -456,10 +456,7 @@ class Core
         std::uint64_t pc = 0;
         bool taken = false;
     };
-    WpNext wrongPathNextPc(const PcLoc &loc);
-    /** Deterministic synthetic word address for wrong-path memory
-     *  ops (their oracle addresses don't exist). */
-    std::uint64_t wrongPathMemAddr(std::uint64_t pc) const;
+    WpNext wrongPathNextPc(const PcEntry &e);
     /** Flush everything younger than the resolved mispredicted
      *  branch and restore the checkpointed front-end state. */
     void squashWrongPath();
@@ -481,7 +478,6 @@ class Core
         fqCount--;
     }
 
-    const Program &prog;
     CoreConfig cfg;
     IqLimitController *ctrl;
 
@@ -523,12 +519,14 @@ class Core
     std::uint64_t fetchResumeCycle = 0;
     std::uint64_t icacheReadyCycle = 0;
     std::uint64_t lastFetchLine = ~0ull;
+    /** log2 of the L1I line size (a power of two, Cache asserts). */
+    int fetchLineShift = 0;
     bool coreHalted = false;
 
-    /** PC → static location, built once at construction when the
-     *  speculative front end is enabled (wrong-path fetch resolves
-     *  predicted targets against it). */
-    std::unordered_map<std::uint64_t, PcLoc> pcIndex;
+    /** The program's predecoded layout, owned by the trace (shared
+     *  by every core replaying it): wrong-path fetch and mispredict
+     *  targets resolve against it. */
+    const PcTable *pcs = nullptr;
     /** A mispredicted branch is in flight; fetch follows wpPc. */
     bool wpActive = false;
     /** Front end gated by a misfetch (empty RAS, cold BTB, dead

@@ -1,34 +1,11 @@
 #include "cpu/iq.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace siq
 {
-
-void
-IssueQueue::readyInsert(int slot)
-{
-    // binary search by current region position; relative positions
-    // of live slots are invariant, so the vector stays sorted
-    const int key = distFromHead(slot);
-    const auto it = std::lower_bound(
-        readySlots.begin(), readySlots.end(), key,
-        [this](int s, int k) { return distFromHead(s) < k; });
-    readySlots.insert(it, slot);
-}
-
-void
-IssueQueue::readyRemove(int slot)
-{
-    const int key = distFromHead(slot);
-    const auto it = std::lower_bound(
-        readySlots.begin(), readySlots.end(), key,
-        [this](int s, int k) { return distFromHead(s) < k; });
-    if (it != readySlots.end() && *it == slot)
-        readySlots.erase(it);
-}
 
 IssueQueue::IssueQueue(const IqConfig &config) : cfg(config)
 {
@@ -37,7 +14,11 @@ IssueQueue::IssueQueue(const IqConfig &config) : cfg(config)
                "banks must tile the issue queue");
     nbanks = cfg.numEntries / cfg.bankSize;
     slots.assign(static_cast<std::size_t>(cfg.numEntries), {});
+    for (int slot = 0; slot < cfg.numEntries; slot++)
+        slots[slot].bank = slot / cfg.bankSize;
     bankValid.assign(static_cast<std::size_t>(nbanks), 0);
+    readyBits.assign(static_cast<std::size_t>(cfg.numEntries + 63) / 64,
+                     0);
     // handles are file*256 + phys with phys < 256 (regHandleStride
     // in cpu/core.hh; the Core constructor asserts the invariant)
     waiters.assign(512, {});
@@ -58,7 +39,6 @@ IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
     e.psrc2 = psrc2;
     e.ready1 = ready1 || psrc1 < 0;
     e.ready2 = ready2 || psrc2 < 0;
-    const int bank = slot / cfg.bankSize;
     const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
     if (!e.ready1) {
         SIQ_ASSERT(psrc1 >= 0 &&
@@ -72,7 +52,7 @@ IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
                    "tag out of range: ", psrc2);
         waiters[psrc2].push_back(slot * 2 + 1);
     }
-    if (bankValid[bank]++ == 0)
+    if (bankValid[e.bank]++ == 0)
         poweredBankCount++;
     pendingOps += pending;
     tail = next(tail);
@@ -144,11 +124,33 @@ IssueQueue::wakeup(int ptag)
 }
 
 void
+IssueQueue::appendReady(int lo, int hi, int distBase,
+                        std::vector<Candidate> &out) const
+{
+    if (lo >= hi)
+        return;
+    const int lastWord = (hi - 1) >> 6;
+    for (int w = lo >> 6; w <= lastWord; w++) {
+        std::uint64_t bits = readyBits[static_cast<std::size_t>(w)];
+        if (w == lo >> 6)
+            bits &= ~std::uint64_t{0} << (lo & 63);
+        if (w == lastWord && (hi & 63) != 0)
+            bits &= ~(~std::uint64_t{0} << (hi & 63));
+        while (bits != 0) {
+            const int slot = w * 64 + std::countr_zero(bits);
+            bits &= bits - 1;
+            out.push_back({slot, slots[slot].robIdx, slot + distBase});
+        }
+    }
+}
+
+void
 IssueQueue::collectReady(std::vector<Candidate> &out) const
 {
     out.clear();
-    for (const int slot : readySlots)
-        out.push_back({slot, slots[slot].robIdx, distFromHead(slot)});
+    // region order: head to the end of the ring, then the wrapped part
+    appendReady(head, cfg.numEntries, -head, out);
+    appendReady(0, head, cfg.numEntries - head, out);
 }
 
 void
@@ -159,11 +161,10 @@ IssueQueue::dropEntry(int slot)
     // markIssued call) may retire pending operands
     const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
     pendingOps -= pending;
-    if (pending == 0)
-        readyRemove(slot); // only ready entries are in the set
+    readyRemove(slot); // a no-op unless the entry was ready
     e.valid = false;
     e.robIdx = -1;
-    if (--bankValid[slot / cfg.bankSize] == 0)
+    if (--bankValid[e.bank] == 0)
         poweredBankCount--;
     count--;
 }

@@ -109,11 +109,11 @@ class IssueQueue
 
     /**
      * Ready entries oldest-first (core applies FU/width limits).
-     * O(ready): the ready set is maintained incrementally — an entry
+     * The ready set is a bitmask maintained incrementally — an entry
      * enters when its last operand becomes ready (dispatch/wakeup)
-     * and leaves on markIssued — ordered by region position, which
-     * is invariant under head advancement, so the output is
-     * identical to a head-to-tail walk of the occupied region.
+     * and leaves on markIssued — and is read from head around the
+     * ring, so the output is identical to a head-to-tail walk of the
+     * occupied region at one word per 64 slots.
      */
     void collectReady(std::vector<Candidate> &out) const;
 
@@ -173,6 +173,7 @@ class IssueQueue
         int psrc2 = -1;
         bool ready1 = true;
         bool ready2 = true;
+        int bank = 0; ///< fixed per slot: slot / bankSize
     };
 
     int
@@ -184,17 +185,25 @@ class IssueQueue
     void advanceHead();
     void advanceNewHead();
 
-    /** Circular slot distance from head — the `i` a head-to-tail
-     *  region walk would reach @p slot at (holes included). */
-    int
-    distFromHead(int slot) const
+    void
+    readyInsert(int slot)
     {
-        const int d = slot - head;
-        return d >= 0 ? d : d + cfg.numEntries;
+        readyBits[static_cast<std::size_t>(slot) >> 6] |=
+            std::uint64_t{1} << (slot & 63);
     }
 
-    void readyInsert(int slot);
-    void readyRemove(int slot);
+    void
+    readyRemove(int slot)
+    {
+        readyBits[static_cast<std::size_t>(slot) >> 6] &=
+            ~(std::uint64_t{1} << (slot & 63));
+    }
+
+    /** Append the ready entries of slots [lo, hi) in slot order;
+     *  each one's distFromHead (circular distance from head, holes
+     *  included) is its slot plus @p distBase. */
+    void appendReady(int lo, int hi, int distBase,
+                     std::vector<Candidate> &out) const;
     /** Invalidate a valid entry (issue or squash). */
     void dropEntry(int slot);
 
@@ -206,11 +215,12 @@ class IssueQueue
      *  comparisons one broadcast pays. */
     int pendingOps = 0;
     int poweredBankCount = 0; ///< banks with bankValid > 0
-    /** Slots of valid entries with both operands ready, sorted by
-     *  region position (oldest first). Region-relative order of live
-     *  slots never changes (head only advances over issued slots),
-     *  so sortedness is preserved as head moves. */
-    std::vector<int> readySlots;
+    /** One bit per slot: set for valid entries with both operands
+     *  ready. Only valid entries are set and they all lie in the
+     *  region [head, tail), so walking the set bits from head to the
+     *  end of the ring and then from 0 to head visits them oldest
+     *  first. */
+    std::vector<std::uint64_t> readyBits;
     /**
      * Per-tag wake-up index: waiters[tag] lists the pending operands
      * (slot*2 + operandIdx) registered for that tag at dispatch, so

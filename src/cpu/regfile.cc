@@ -13,14 +13,17 @@ RegFile::RegFile(const RegFileConfig &config) : _config(config)
                "banks must tile the file");
     _numBanks = config.numPhys / config.bankSize;
     mapTable.resize(config.numArch);
-    readyBit.assign(config.numPhys, false);
+    readyBit.assign(config.numPhys, 0);
+    bankOf.resize(config.numPhys);
+    for (int p = 0; p < config.numPhys; p++)
+        bankOf[p] = p / config.bankSize;
     bankLive.assign(_numBanks, 0);
 
     // arch reg i starts mapped to phys i, value available
     for (int i = 0; i < config.numArch; i++) {
         mapTable[i] = i;
-        readyBit[i] = true;
-        if (bankLive[i / config.bankSize]++ == 0)
+        readyBit[i] = 1;
+        if (bankLive[bankOf[i]]++ == 0)
             _poweredBanks++;
         _liveRegs++;
     }
@@ -52,8 +55,8 @@ RegFile::rename(int archReg)
     }
     const int old = mapTable[archReg];
     mapTable[archReg] = fresh;
-    readyBit[fresh] = false;
-    if (bankLive[fresh / _config.bankSize]++ == 0)
+    readyBit[fresh] = 0;
+    if (bankLive[bankOf[fresh]]++ == 0)
         _poweredBanks++;
     _liveRegs++;
     return {fresh, old};
@@ -63,8 +66,8 @@ void
 RegFile::release(int phys)
 {
     SIQ_ASSERT(phys >= 0 && phys < _config.numPhys, "bad release");
-    readyBit[phys] = false;
-    const int bank = phys / _config.bankSize;
+    readyBit[phys] = 0;
+    const int bank = bankOf[phys];
     if (--bankLive[bank] == 0)
         _poweredBanks--;
     SIQ_ASSERT(bankLive[bank] >= 0, "bank liveness underflow");

@@ -51,8 +51,8 @@ class RegFile
     int lookup(int archReg) const { return mapTable[archReg]; }
 
     /** Value availability of a physical register. */
-    bool isReady(int phys) const { return readyBit[phys]; }
-    void setReady(int phys) { readyBit[phys] = true; }
+    bool isReady(int phys) const { return readyBit[phys] != 0; }
+    void setReady(int phys) { readyBit[phys] = 1; }
 
     /** Return @p phys to the free list (at commit of the redefiner). */
     void release(int phys);
@@ -96,7 +96,10 @@ class RegFile
     RegFileConfig _config;
     int _numBanks;
     std::vector<int> mapTable;
-    std::vector<bool> readyBit;
+    std::vector<std::uint8_t> readyBit;
+    /** Bank of each physical register (phys / bankSize, precomputed:
+     *  rename and release are per-instruction). */
+    std::vector<int> bankOf;
     std::vector<int> bankLive;
     /** Free-list bitmap: bit p set = phys reg p is free. */
     std::vector<std::uint64_t> freeMask;

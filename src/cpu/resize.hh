@@ -18,11 +18,7 @@ namespace siq
 /** Per-cycle observations delivered to a resize controller. */
 struct ResizeSignals
 {
-    std::uint64_t cycle = 0;
     int iqValid = 0;
-    int iqRegionLen = 0;
-    int robCount = 0;
-    int issuedTotal = 0;
     /** Issues whose entry sat in the youngest bank-worth of slots. */
     int issuedFromYoungestBank = 0;
     /** Dispatch was blocked this cycle by the controller's limit. */

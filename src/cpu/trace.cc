@@ -28,8 +28,83 @@ ctrlTargets(const Program &prog, const StepResult &sr)
     return ct;
 }
 
+namespace
+{
+
+/** splitmix64 finalizer of @p pc modulo the memory size:
+ *  deterministic, well-spread synthetic word addresses. */
+std::uint64_t
+wrongPathAddrOf(std::uint64_t pc, std::uint64_t memWords)
+{
+    std::uint64_t z = pc + 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return z % memWords;
+}
+
+std::uint32_t
+to32(std::uint64_t v)
+{
+    SIQ_ASSERT(v <= std::numeric_limits<std::uint32_t>::max(),
+               "program PCs or memory size exceed the PC table's "
+               "32-bit fields");
+    return static_cast<std::uint32_t>(v);
+}
+
+} // namespace
+
+PcTable::PcTable(const Program &prog)
+{
+    entries.reserve(prog.instCount());
+    for (std::size_t p = 0; p < prog.procs.size(); p++) {
+        const Procedure &proc = prog.procs[p];
+        const int pi = static_cast<int>(p);
+        for (std::size_t b = 0; b < proc.blocks.size(); b++) {
+            const BasicBlock &blk = proc.blocks[b];
+            const std::uint64_t fallthroughPc =
+                blk.fallthrough < 0
+                    ? 0
+                    : blockStartPc(prog, pi, blk.fallthrough);
+            for (std::size_t i = 0; i < blk.insts.size(); i++) {
+                const StaticInst &si = blk.insts[i];
+                PcEntry e;
+                e.si = &si;
+                e.seqPc = to32(i + 1 < blk.insts.size()
+                                   ? blk.insts[i + 1].pc
+                                   : fallthroughPc);
+                if (si.traits().isBranch || si.op == Opcode::Jump) {
+                    e.takenPc = to32(blockStartPc(prog, pi, si.target));
+                } else if (si.op == Opcode::Call) {
+                    e.takenPc = to32(blockStartPc(prog, si.target, 0));
+                    e.rasPushPc = to32(fallthroughPc);
+                }
+                e.wrongPathAddr =
+                    to32(wrongPathAddrOf(si.pc, prog.memWords));
+
+                const std::uint64_t page = si.pc >> pageShift;
+                if (entries.empty()) {
+                    basePage = page;
+                    pages.push_back({0, 0});
+                }
+                SIQ_ASSERT(page >= basePage + pages.size() - 1,
+                           "PCs must ascend in layout order");
+                while (basePage + pages.size() - 1 < page) {
+                    pages.push_back(
+                        {static_cast<std::uint32_t>(entries.size()), 0});
+                }
+                Page &pg = pages.back();
+                SIQ_ASSERT(si.pc == (page << pageShift) + 4 * pg.count,
+                           "PC ", si.pc, " breaks the page layout");
+                pg.count++;
+                entries.push_back(e);
+            }
+        }
+    }
+}
+
 FuncTrace::FuncTrace(std::shared_ptr<const Program> prog)
-    : _prog(std::move(prog)), exec(*_prog)
+    : _prog(std::move(prog)), _pcs(*_prog), exec(*_prog)
 {
 }
 

@@ -13,9 +13,12 @@
  * model consumes from the interpreter (the static instruction, the
  * branch outcome, the effective address, the resolved next PC and
  * the return-address-stack push value), in fixed-width 24-byte
- * records held in chunked arena storage. The trace is the core's only
- * functional input: Core::fetchStage reads its records, from a trace
- * shared across cells or, for a standalone core, from a private one.
+ * records held in chunked arena storage. Alongside, it holds the
+ * program's predecoded static layout (PcTable), built once at
+ * construction and read by every replaying speculative core. The
+ * trace is the core's only functional input: Core::fetchStage reads
+ * its records, from a trace shared across cells or, for a standalone
+ * core, from a private one.
  *
  * Traces grow lazily: a replaying core's cursor requests records by
  * index, and the producer steps the interpreter just far enough to
@@ -82,6 +85,78 @@ struct CtrlTargets
 CtrlTargets ctrlTargets(const Program &prog, const StepResult &sr);
 
 /**
+ * One instruction of a program's predecoded static layout: everything
+ * a front end following static structure (not the functional stream)
+ * needs to step past it, computed once. Successor PCs resolve through
+ * empty blocks like blockStartPc; 0 means there is none (a dead-end
+ * fall-through chain, or a field the opcode does not use).
+ */
+struct PcEntry
+{
+    const StaticInst *si = nullptr;
+    /** The next instruction in the static layout (not-taken path). */
+    std::uint32_t seqPc = 0;
+    /** Conditional branch or jump: the target block's first PC;
+     *  call: the callee's entry. */
+    std::uint32_t takenPc = 0;
+    /** Call only: the return-site PC a return-address stack pushes
+     *  (the caller block's fall-through, as ctrlTargets computes). */
+    std::uint32_t rasPushPc = 0;
+    /** Synthetic word address for a wrong-path memory op at this PC
+     *  (its architectural address does not exist): a splitmix64 hash
+     *  of the PC modulo the program's memory size. */
+    std::uint32_t wrongPathAddr = 0;
+};
+
+static_assert(sizeof(PcEntry) == 24,
+              "PC table entries are meant to be compact");
+
+/**
+ * PC → PcEntry for one program, sized by instruction count. Entries
+ * are dense in PC order; since Program::finalize lays each procedure
+ * out contiguously from a 4 KiB page boundary, every page holds one
+ * run of consecutive instructions from its start, so a per-page
+ * first-entry/count pair resolves a PC with a shift, a mask and two
+ * bounds checks. Immutable after construction.
+ */
+class PcTable
+{
+  public:
+    explicit PcTable(const Program &prog);
+
+    /** The instruction at @p pc, or nullptr when no instruction sits
+     *  there (misaligned, outside the program, or in the gap between
+     *  a procedure's end and the next page). */
+    const PcEntry *
+    find(std::uint64_t pc) const
+    {
+        // a PC below the first page wraps to a huge page index
+        const std::uint64_t page = (pc >> pageShift) - basePage;
+        if (page >= pages.size() || (pc & 3) != 0)
+            return nullptr;
+        const Page &pg = pages[page];
+        const std::uint64_t i = (pc & (pageBytes - 1)) >> 2;
+        return i < pg.count ? &entries[pg.first + i] : nullptr;
+    }
+
+    std::size_t size() const { return entries.size(); }
+
+  private:
+    static constexpr unsigned pageShift = 12;
+    static constexpr std::uint64_t pageBytes = 1ull << pageShift;
+
+    struct Page
+    {
+        std::uint32_t first = 0; ///< index of the page's first entry
+        std::uint32_t count = 0; ///< entries at 4-byte steps from it
+    };
+
+    std::vector<PcEntry> entries;
+    std::vector<Page> pages;
+    std::uint64_t basePage = 0;
+};
+
+/**
  * A lazily produced, append-only functional trace of one program.
  * Thread-safe: any number of cursors may replay while one of them
  * extends the frontier. Keeps the program alive — records point at
@@ -114,6 +189,10 @@ class FuncTrace
 
     const Program &program() const { return *_prog; }
 
+    /** The program's predecoded layout, shared by every replaying
+     *  core (wrong-path fetch and mispredict targets). */
+    const PcTable &pcTable() const { return _pcs; }
+
     /** Arena bytes allocated so far (cache accounting). */
     std::uint64_t
     bytes() const
@@ -133,6 +212,7 @@ class FuncTrace
     void produceTo(std::uint64_t idx);
 
     std::shared_ptr<const Program> _prog;
+    const PcTable _pcs;
     ExecContext exec;
     std::vector<std::unique_ptr<TraceRecord[]>> chunks;
     std::uint64_t produced = 0;

@@ -1,114 +1,28 @@
 #include "isa/opcode.hh"
 
-#include <array>
-
 #include "common/logging.hh"
 
 namespace siq
 {
 
-namespace
-{
-
-// field order matches OpTraits:
-// mnemonic fu latency piped dst s1 s2 br jmp ind call ret ld st fp
-// halt
-constexpr std::array<OpTraits, numOpcodes> traitTable = {{
-    {"nop",    FuClass::None,     1, true, false, false, false, false, false,
-     false, false, false, false, false, false, false},
-    {"hint",   FuClass::None,     1, true, false, false, false, false, false,
-     false, false, false, false, false, false, false},
-    {"movi",   FuClass::IntAlu,   1, true, true,  false, false, false, false,
-     false, false, false, false, false, false, false},
-    {"add",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"addi",   FuClass::IntAlu,   1, true, true,  true,  false, false, false,
-     false, false, false, false, false, false, false},
-    {"sub",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"mul",    FuClass::IntMul,   3, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"div",    FuClass::IntMul,  12, false, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"and",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"or",     FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"xor",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"shl",    FuClass::IntAlu,   1, true, true,  true,  false, false, false,
-     false, false, false, false, false, false, false},
-    {"shr",    FuClass::IntAlu,   1, true, true,  true,  false, false, false,
-     false, false, false, false, false, false, false},
-    {"slt",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
-     false, false, false, false, false, false, false},
-    {"fmovi",  FuClass::FpAlu,    2, true, true,  false, false, false, false,
-     false, false, false, false, false, true,  false},
-    {"fadd",   FuClass::FpAlu,    2, true, true,  true,  true,  false, false,
-     false, false, false, false, false, true,  false},
-    {"fmul",   FuClass::FpMulDiv, 4, true, true,  true,  true,  false, false,
-     false, false, false, false, false, true,  false},
-    {"fdiv",   FuClass::FpMulDiv, 12, false, true, true,  true,  false, false,
-     false, false, false, false, false, true,  false},
-    {"ld",     FuClass::MemPort,  1, true, true,  true,  false, false, false,
-     false, false, false, true,  false, false, false},
-    {"st",     FuClass::MemPort,  1, true, false, true,  true,  false, false,
-     false, false, false, false, true,  false, false},
-    {"fld",    FuClass::MemPort,  1, true, true,  true,  false, false, false,
-     false, false, false, true,  false, true,  false},
-    {"fst",    FuClass::MemPort,  1, true, false, true,  true,  false, false,
-     false, false, false, false, true,  true,  false},
-    {"beq",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
-     false, false, false, false, false, false, false},
-    {"bne",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
-     false, false, false, false, false, false, false},
-    {"blt",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
-     false, false, false, false, false, false, false},
-    {"bge",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
-     false, false, false, false, false, false, false},
-    {"j",      FuClass::IntAlu,   1, true, false, false, false, false, true,
-     false, false, false, false, false, false, false},
-    {"ijmp",   FuClass::IntAlu,   1, true, false, true,  false, false, true,
-     true,  false, false, false, false, false, false},
-    {"call",   FuClass::IntAlu,   1, true, false, false, false, false, true,
-     false, true,  false, false, false, false, false},
-    {"ret",    FuClass::IntAlu,   1, true, false, false, false, false, true,
-     true,  false, true,  false, false, false, false},
-    {"halt",   FuClass::None,     1, true, false, false, false, false, false,
-     false, false, false, false, false, false, true},
-}};
-
-} // namespace
-
 int
 maxOpcodeLatency()
 {
     int m = 1;
-    for (const auto &t : traitTable)
+    for (const auto &t : detail::traitTable)
         m = m > t.latency ? m : t.latency;
     return m;
 }
 
-const OpTraits &
-opTraits(Opcode op)
+namespace detail
 {
-    const auto idx = static_cast<std::size_t>(op);
-    SIQ_ASSERT(idx < traitTable.size(), "opcode out of range");
-    return traitTable[idx];
+
+void
+opcodeOutOfRange(Opcode op)
+{
+    panic("opcode out of range: ", static_cast<int>(op));
 }
 
-bool
-isControl(Opcode op)
-{
-    const auto &t = opTraits(op);
-    return t.isBranch || t.isJump || t.isCall || t.isRet;
-}
-
-bool
-isMem(Opcode op)
-{
-    const auto &t = opTraits(op);
-    return t.isLoad || t.isStore;
-}
+} // namespace detail
 
 } // namespace siq

@@ -11,6 +11,7 @@
 #ifndef SIQ_ISA_OPCODE_HH
 #define SIQ_ISA_OPCODE_HH
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -92,18 +93,112 @@ struct OpTraits
     bool isHalt;
 };
 
-/** Trait lookup; total over all opcodes. */
-const OpTraits &opTraits(Opcode op);
+namespace detail
+{
+
+// field order matches OpTraits:
+// mnemonic fu latency piped dst s1 s2 br jmp ind call ret ld st fp
+// halt
+inline constexpr std::array<OpTraits, numOpcodes> traitTable = {{
+    {"nop",    FuClass::None,     1, true, false, false, false, false, false,
+     false, false, false, false, false, false, false},
+    {"hint",   FuClass::None,     1, true, false, false, false, false, false,
+     false, false, false, false, false, false, false},
+    {"movi",   FuClass::IntAlu,   1, true, true,  false, false, false, false,
+     false, false, false, false, false, false, false},
+    {"add",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"addi",   FuClass::IntAlu,   1, true, true,  true,  false, false, false,
+     false, false, false, false, false, false, false},
+    {"sub",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"mul",    FuClass::IntMul,   3, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"div",    FuClass::IntMul,  12, false, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"and",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"or",     FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"xor",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"shl",    FuClass::IntAlu,   1, true, true,  true,  false, false, false,
+     false, false, false, false, false, false, false},
+    {"shr",    FuClass::IntAlu,   1, true, true,  true,  false, false, false,
+     false, false, false, false, false, false, false},
+    {"slt",    FuClass::IntAlu,   1, true, true,  true,  true,  false, false,
+     false, false, false, false, false, false, false},
+    {"fmovi",  FuClass::FpAlu,    2, true, true,  false, false, false, false,
+     false, false, false, false, false, true,  false},
+    {"fadd",   FuClass::FpAlu,    2, true, true,  true,  true,  false, false,
+     false, false, false, false, false, true,  false},
+    {"fmul",   FuClass::FpMulDiv, 4, true, true,  true,  true,  false, false,
+     false, false, false, false, false, true,  false},
+    {"fdiv",   FuClass::FpMulDiv, 12, false, true, true,  true,  false, false,
+     false, false, false, false, false, true,  false},
+    {"ld",     FuClass::MemPort,  1, true, true,  true,  false, false, false,
+     false, false, false, true,  false, false, false},
+    {"st",     FuClass::MemPort,  1, true, false, true,  true,  false, false,
+     false, false, false, false, true,  false, false},
+    {"fld",    FuClass::MemPort,  1, true, true,  true,  false, false, false,
+     false, false, false, true,  false, true,  false},
+    {"fst",    FuClass::MemPort,  1, true, false, true,  true,  false, false,
+     false, false, false, false, true,  true,  false},
+    {"beq",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
+     false, false, false, false, false, false, false},
+    {"bne",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
+     false, false, false, false, false, false, false},
+    {"blt",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
+     false, false, false, false, false, false, false},
+    {"bge",    FuClass::IntAlu,   1, true, false, true,  true,  true,  false,
+     false, false, false, false, false, false, false},
+    {"j",      FuClass::IntAlu,   1, true, false, false, false, false, true,
+     false, false, false, false, false, false, false},
+    {"ijmp",   FuClass::IntAlu,   1, true, false, true,  false, false, true,
+     true,  false, false, false, false, false, false},
+    {"call",   FuClass::IntAlu,   1, true, false, false, false, false, true,
+     false, true,  false, false, false, false, false},
+    {"ret",    FuClass::IntAlu,   1, true, false, false, false, false, true,
+     true,  false, true,  false, false, false, false},
+    {"halt",   FuClass::None,     1, true, false, false, false, false, false,
+     false, false, false, false, false, false, true},
+}};
+
+/** Panics: @p op is not a valid opcode. */
+[[noreturn]] void opcodeOutOfRange(Opcode op);
+
+} // namespace detail
+
+/** Trait lookup; total over all opcodes (inline: every pipeline stage
+ *  asks it per instruction). */
+inline const OpTraits &
+opTraits(Opcode op)
+{
+    const auto idx = static_cast<std::size_t>(op);
+    if (idx >= detail::traitTable.size()) [[unlikely]]
+        detail::opcodeOutOfRange(op);
+    return detail::traitTable[idx];
+}
 
 /** Largest execution latency over all opcodes (cache adds more;
  *  the core's completion wheel sizes its horizon from this). */
 int maxOpcodeLatency();
 
 /** True for any instruction that may redirect control flow. */
-bool isControl(Opcode op);
+inline bool
+isControl(Opcode op)
+{
+    const auto &t = opTraits(op);
+    return t.isBranch || t.isJump || t.isCall || t.isRet;
+}
 
 /** True for loads and stores. */
-bool isMem(Opcode op);
+inline bool
+isMem(Opcode op)
+{
+    const auto &t = opTraits(op);
+    return t.isLoad || t.isStore;
+}
 
 /** Number of architectural integer registers (r0 is hardwired zero). */
 constexpr int numIntArchRegs = 32;

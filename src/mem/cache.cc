@@ -17,19 +17,9 @@ Cache::Cache(const CacheConfig &config) : _config(config)
     numSets = config.sizeBytes / (config.assoc * config.lineBytes);
     SIQ_ASSERT(numSets > 0 && std::has_single_bit(numSets),
                "set count must be a power of two for ", config.name);
+    lineShift = std::countr_zero(config.lineBytes);
+    tagShift = lineShift + std::countr_zero(numSets);
     lines.assign(static_cast<std::size_t>(numSets) * config.assoc, {});
-}
-
-std::size_t
-Cache::setIndex(std::uint64_t byteAddr) const
-{
-    return (byteAddr / _config.lineBytes) & (numSets - 1);
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t byteAddr) const
-{
-    return (byteAddr / _config.lineBytes) / numSets;
 }
 
 bool

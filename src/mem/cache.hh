@@ -68,11 +68,22 @@ class Cache
         bool valid = false;
     };
 
-    std::size_t setIndex(std::uint64_t byteAddr) const;
-    std::uint64_t tagOf(std::uint64_t byteAddr) const;
+    std::size_t
+    setIndex(std::uint64_t byteAddr) const
+    {
+        return (byteAddr >> lineShift) & (numSets - 1);
+    }
+
+    std::uint64_t
+    tagOf(std::uint64_t byteAddr) const
+    {
+        return byteAddr >> tagShift;
+    }
 
     CacheConfig _config;
     std::uint32_t numSets;
+    int lineShift;  ///< log2(lineBytes)
+    int tagShift;   ///< log2(lineBytes * numSets)
     std::vector<Line> lines; // numSets * assoc
     std::uint64_t useCounter = 0;
     stats::Scalar _accesses;

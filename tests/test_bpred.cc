@@ -425,5 +425,28 @@ TEST(BpredShadow, FacadeSnapshotRestoresHistoryAndRasExactly)
     }
 }
 
+// --------------------------------------------------------------------
+// Geometry: every table is indexed by masking, so sizes that are not
+// powers of two (where a mask is not a modulo) are refused
+// --------------------------------------------------------------------
+
+TEST(BpredGeometry, NonPowerOfTwoSizesAreRefused)
+{
+    const BpredConfig ok;
+    EXPECT_NO_FATAL_FAILURE({ Bpred bp(ok); });
+    for (std::uint32_t BpredConfig::*field :
+         {&BpredConfig::gshareEntries, &BpredConfig::bimodalEntries,
+          &BpredConfig::selectorEntries}) {
+        BpredConfig cfg;
+        cfg.*field = 1000;
+        EXPECT_DEATH({ Bpred bp(cfg); }, "must be powers of two");
+    }
+    BpredConfig btb;
+    btb.btbEntries = 24; // 6 sets of 4 ways
+    EXPECT_DEATH({ Bpred bp(btb); }, "BTB set count must be a power");
+    btb.btbEntries = 32; // 8 sets: fine at any associativity
+    EXPECT_NO_FATAL_FAILURE({ Bpred bp(btb); });
+}
+
 } // namespace
 } // namespace siq

@@ -332,15 +332,37 @@ TEST(CompletionWheel, BeyondHorizonEventsPopOnTheRightLap)
     // a near event and an event three laps out share slot 3
     w.schedule(3, 11, 0);
     w.schedule(3 + 8 * 3, 9, 0);
+    // the near event is found by the forward scan, past the far one
+    // sharing its slot
+    EXPECT_EQ(w.nextDue(0), 3u);
+    EXPECT_EQ(w.nextDue(3), 3u);
     w.popDue(3, out);
     EXPECT_EQ(poppedIdxs(out), (std::vector<int>{11}))
         << "the far event must survive its slot's earlier laps";
     for (std::uint64_t c = 4; c < 27; c++) {
+        // nothing due within a lap until cycle 20: the full-scan
+        // fallback must still find the far event
+        EXPECT_EQ(w.nextDue(c), 27u) << "cycle " << c;
         w.popDue(c, out);
         EXPECT_TRUE(out.empty()) << "cycle " << c;
     }
+    w.schedule(27 + 8, 4, 0); // slot 3, like the event due at 27
+    w.schedule(29, 5, 0);
+    EXPECT_EQ(w.nextDue(27), 27u);
     w.popDue(27, out);
     EXPECT_EQ(poppedIdxs(out), (std::vector<int>{9}));
+    // a next-lap event in the slot the scan starts at must not hide
+    // an earlier one in a later slot
+    EXPECT_EQ(w.nextDue(27), 29u);
+    EXPECT_EQ(w.nextDue(28), 29u);
+    w.popDue(28, out);
+    w.popDue(29, out);
+    EXPECT_EQ(poppedIdxs(out), (std::vector<int>{5}));
+    EXPECT_EQ(w.nextDue(30), 35u);
+    w.popDue(35, out);
+    EXPECT_EQ(poppedIdxs(out), (std::vector<int>{4}));
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(w.nextDue(36), ~0ull);
 }
 
 TEST(CompletionWheel, GenerationsRoundTripForConsumerValidation)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.hh"
 #include "cpu/iq.hh"
 
@@ -205,7 +207,15 @@ TEST(IssueQueue, WrapAroundKeepsInvariants)
  * event count, ready bit and selection candidate across thousands of
  * mixed operations.
  */
-TEST(IssueQueue, FastPathMatchesNaiveReference)
+/**
+ * Randomized dispatch/wakeup/issue/squash/hint traffic against a shadow
+ * model that keeps the valid entries oldest-first and recomputes
+ * everything by brute force: the ready list (order, slots, robIdx,
+ * distFromHead — the head is the oldest valid entry's slot) and the
+ * gated comparison count.
+ */
+void
+checkAgainstShadow(int numEntries, std::uint64_t seed)
 {
     struct ShadowEntry
     {
@@ -216,17 +226,21 @@ TEST(IssueQueue, FastPathMatchesNaiveReference)
     };
 
     IqConfig cfg;
-    cfg.numEntries = 80;
+    cfg.numEntries = numEntries;
     cfg.bankSize = 8;
     IssueQueue iq(cfg);
     std::vector<ShadowEntry> shadow; // oldest-first valid entries
+    // every dispatch in order (robIdx): squashTail(n) undoes the last n
+    std::vector<int> dispatchLog;
 
-    Rng rng(2024);
-    std::uint64_t seq = 0;
+    Rng rng(seed);
+    int seq = 0;
     std::uint64_t expectedGated = 0;
+    int lastHead = 0;
+    int headWraps = 0;
 
     for (int step = 0; step < 20000; step++) {
-        const int action = static_cast<int>(rng.range(0, 9));
+        const int action = static_cast<int>(rng.range(0, 10));
         if (action < 4 && iq.canDispatch()) {
             const int p1 = rng.chance(0.2)
                                ? -1
@@ -236,11 +250,11 @@ TEST(IssueQueue, FastPathMatchesNaiveReference)
                                : static_cast<int>(rng.range(0, 30));
             const bool r1 = p1 < 0 || rng.chance(0.4);
             const bool r2 = p2 < 0 || rng.chance(0.4);
-            const int slot = iq.dispatch(static_cast<int>(seq % 128),
-                                         p1, r1, p2, r2);
-            shadow.push_back({static_cast<int>(seq % 128), p1, p2,
-                              r1 || p1 < 0, r2 || p2 < 0, slot});
-            seq++;
+            const int robIdx = seq++ % 4096;
+            const int slot = iq.dispatch(robIdx, p1, r1, p2, r2);
+            shadow.push_back(
+                {robIdx, p1, p2, r1 || p1 < 0, r2 || p2 < 0, slot});
+            dispatchLog.push_back(robIdx);
         } else if (action < 7) {
             const int tag = static_cast<int>(rng.range(0, 30));
             for (auto &e : shadow) {
@@ -287,22 +301,72 @@ TEST(IssueQueue, FastPathMatchesNaiveReference)
             iq.markIssued(shadow[victim].slot);
             shadow.erase(shadow.begin() +
                          static_cast<std::ptrdiff_t>(victim));
+        } else if (action < 10 && !dispatchLog.empty()) {
+            // squash the youngest n dispatches, issued ones included
+            // (wrong-path recovery); n may exceed the region when
+            // older entries drained meanwhile
+            if (!rng.chance(0.25))
+                continue;
+            const int maxN = std::min<int>(
+                static_cast<int>(dispatchLog.size()),
+                rng.chance(0.1) ? numEntries + 8 : 12);
+            const int n = static_cast<int>(rng.range(0, maxN));
+            int expectDropped = 0;
+            for (int i = 0; i < n; i++) {
+                const int robIdx = dispatchLog.back();
+                dispatchLog.pop_back();
+                const auto it = std::find_if(
+                    shadow.begin(), shadow.end(),
+                    [robIdx](const ShadowEntry &e) {
+                        return e.robIdx == robIdx;
+                    });
+                if (it != shadow.end()) {
+                    shadow.erase(it);
+                    expectDropped++;
+                }
+            }
+            ASSERT_EQ(iq.squashTail(n), expectDropped)
+                << "step " << step;
         } else if (rng.chance(0.3)) {
-            iq.applyHint(static_cast<int>(rng.range(1, 80)));
+            iq.applyHint(static_cast<int>(rng.range(1, numEntries)));
         }
 
         std::vector<IssueQueue::Candidate> got;
         iq.collectReady(got);
-        std::vector<int> want;
+        std::vector<const ShadowEntry *> want;
         for (const auto &e : shadow) {
             if (e.ready1 && e.ready2)
-                want.push_back(e.robIdx);
+                want.push_back(&e);
         }
         ASSERT_EQ(got.size(), want.size()) << "step " << step;
-        for (std::size_t i = 0; i < got.size(); i++)
-            ASSERT_EQ(got[i].robIdx, want[i]) << "step " << step;
+        for (std::size_t i = 0; i < got.size(); i++) {
+            ASSERT_EQ(got[i].robIdx, want[i]->robIdx) << "step " << step;
+            ASSERT_EQ(got[i].slot, want[i]->slot) << "step " << step;
+            const int dist =
+                (want[i]->slot - shadow.front().slot + numEntries) %
+                numEntries;
+            ASSERT_EQ(got[i].distFromHead, dist) << "step " << step;
+        }
         ASSERT_EQ(iq.validCount(),
                   static_cast<int>(shadow.size()));
+        if (iq.headSlot() < lastHead)
+            headWraps++;
+        lastHead = iq.headSlot();
+    }
+    // the ring must really have been walked around, so every word
+    // boundary and the wrap were crossed
+    EXPECT_GE(headWraps, 10);
+}
+
+TEST(IssueQueue, FastPathMatchesNaiveReference)
+{
+    // 80 is Table 1; 128 and 200 put the ready bitmask across several
+    // 64-bit words, with the head wrapping through each boundary
+    for (const int entries : {80, 128, 200}) {
+        SCOPED_TRACE(entries);
+        checkAgainstShadow(entries, 2024);
+        if (HasFatalFailure())
+            return;
     }
 }
 

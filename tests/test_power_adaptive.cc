@@ -85,13 +85,10 @@ TEST(Power, RfGatingOnlyAffectsBankTerms)
 }
 
 ResizeSignals
-idleCycle(std::uint64_t cycle, int occupancy)
+idleCycle(int occupancy)
 {
     ResizeSignals s;
-    s.cycle = cycle;
     s.iqValid = occupancy;
-    s.iqRegionLen = occupancy;
-    s.issuedTotal = 2;
     s.issuedFromYoungestBank = 0;
     return s;
 }
@@ -102,7 +99,7 @@ TEST(Abella, ShrinksOnLowAverageOccupancy)
     AbellaResizer resizer(cfg);
     EXPECT_EQ(resizer.iqLimit(), cfg.iqSize);
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
-        resizer.tick(idleCycle(c, 10));
+        resizer.tick(idleCycle(10));
     EXPECT_LT(resizer.iqLimit(), cfg.iqSize);
     EXPECT_GE(resizer.iqLimit(), cfg.minIq);
 }
@@ -113,12 +110,12 @@ TEST(Abella, GrowsUnderLimitPressure)
     AbellaResizer resizer(cfg);
     // shrink twice
     for (std::uint64_t c = 0; c < 2 * cfg.intervalCycles + 2; c++)
-        resizer.tick(idleCycle(c, 4));
+        resizer.tick(idleCycle(4));
     const int shrunk = resizer.iqLimit();
     ASSERT_LT(shrunk, cfg.iqSize);
     // now saturate with limit-induced stalls
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++) {
-        auto s = idleCycle(c, shrunk);
+        auto s = idleCycle(shrunk);
         s.dispatchStalledByLimit = true;
         resizer.tick(s);
     }
@@ -132,7 +129,7 @@ TEST(Abella, RobLimitHasFloor64)
     // shrink to the minimum
     for (int interval = 0; interval < 20; interval++)
         for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
-            resizer.tick(idleCycle(c, 2));
+            resizer.tick(idleCycle(2));
     EXPECT_EQ(resizer.iqLimit(), cfg.minIq);
     EXPECT_GE(resizer.robLimit(), 64)
         << "the IqRob64 floor must hold";
@@ -143,7 +140,7 @@ TEST(Folegnani, ShrinksWhenYoungestPortionIdle)
     FolegnaniConfig cfg;
     FolegnaniResizer resizer(cfg);
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
-        resizer.tick(idleCycle(c, 40));
+        resizer.tick(idleCycle(40));
     EXPECT_EQ(resizer.iqLimit(), cfg.iqSize - cfg.portion);
 }
 
@@ -155,12 +152,12 @@ TEST(Folegnani, PeriodicallyReexpands)
     // expandPeriod intervals so the limit saw-tooths above minSize
     for (int interval = 0; interval < 40; interval++)
         for (std::uint64_t c = 0; c < cfg.intervalCycles; c++)
-            resizer.tick(idleCycle(c, 40));
+            resizer.tick(idleCycle(40));
     EXPECT_GE(resizer.iqLimit(), cfg.minSize);
     // one more interval with busy youngest portion: no shrink
     const int before = resizer.iqLimit();
     for (std::uint64_t c = 0; c < cfg.intervalCycles; c++) {
-        auto s = idleCycle(c, 40);
+        auto s = idleCycle(40);
         s.issuedFromYoungestBank = 4;
         resizer.tick(s);
     }

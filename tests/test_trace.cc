@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "cpu/core.hh"
@@ -113,6 +114,99 @@ TEST(FuncTrace, RecordsMatchInterpreterForEveryFamily)
             ASSERT_EQ(rec.aux, aux) << family << " record " << i;
         }
         EXPECT_GT(i, 1000u) << family;
+    }
+}
+
+/** Reference for PcEntry::wrongPathAddr: splitmix64 of the PC modulo
+ *  the memory size. */
+std::uint64_t
+splitmixAddr(std::uint64_t pc, std::uint64_t memWords)
+{
+    std::uint64_t z = pc + 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return z % memWords;
+}
+
+/** The predecoded PC table agrees with a brute-force walk of every
+ *  registered family's program: each instruction and its successors, and "no instruction" for every other PC up to two
+ *  pages past the last one (misaligned, inter-procedure gap, out of
+ *  range). */
+TEST(PcTable, MatchesBruteForceWalkForEveryFamily)
+{
+    for (const auto &family : workloads::familyNames()) {
+        SCOPED_TRACE(family);
+        const auto prog = generateShared(family);
+        const FuncTrace trace(prog);
+        const PcTable &table = trace.pcTable();
+
+        // first PC reached entering (p, b), through empty blocks
+        const auto entryPc = [&](int p, int b) -> std::uint64_t {
+            for (; b >= 0; b = prog->procs[p].blocks[b].fallthrough) {
+                const BasicBlock &blk = prog->procs[p].blocks[b];
+                if (!blk.insts.empty())
+                    return blk.insts.front().pc;
+            }
+            return 0;
+        };
+
+        std::map<std::uint64_t, const StaticInst *> byPc;
+        for (int p = 0; p < static_cast<int>(prog->procs.size()); p++) {
+            const Procedure &proc = prog->procs[p];
+            for (int b = 0; b < static_cast<int>(proc.blocks.size());
+                 b++) {
+                const BasicBlock &blk = proc.blocks[b];
+                const int n = static_cast<int>(blk.insts.size());
+                for (int i = 0; i < n; i++) {
+                    const StaticInst &si = blk.insts[i];
+                    byPc[si.pc] = &si;
+                    const PcEntry *e = table.find(si.pc);
+                    ASSERT_NE(e, nullptr) << "pc " << si.pc;
+                    EXPECT_EQ(e->si, &si);
+                    EXPECT_EQ(e->seqPc, i + 1 < n
+                                            ? blk.insts[i + 1].pc
+                                            : entryPc(p, blk.fallthrough));
+                    std::uint64_t taken = 0;
+                    std::uint64_t push = 0;
+                    if (si.traits().isBranch || si.op == Opcode::Jump) {
+                        taken = entryPc(p, si.target);
+                    } else if (si.op == Opcode::Call) {
+                        taken = entryPc(si.target, 0);
+                        push = entryPc(p, blk.fallthrough);
+                    }
+                    EXPECT_EQ(e->takenPc, taken) << "pc " << si.pc;
+                    EXPECT_EQ(e->rasPushPc, push) << "pc " << si.pc;
+                    EXPECT_EQ(e->wrongPathAddr,
+                              splitmixAddr(si.pc, prog->memWords));
+                }
+            }
+        }
+        ASSERT_FALSE(byPc.empty());
+        EXPECT_EQ(table.size(), byPc.size());
+
+        // every byte address from 0 to two pages past the last
+        // instruction resolves to exactly the instruction there
+        const std::uint64_t end = byPc.rbegin()->first + 2 * 4096;
+        std::uint64_t gapPcs = 0;
+        for (std::uint64_t pc = 0; pc < end; pc++) {
+            const auto it = byPc.find(pc);
+            const PcEntry *e = table.find(pc);
+            if (it == byPc.end()) {
+                ASSERT_EQ(e, nullptr) << "pc " << pc;
+                if (pc % 4 == 0 && pc > byPc.begin()->first &&
+                    pc < byPc.rbegin()->first)
+                    gapPcs++;
+            } else {
+                ASSERT_NE(e, nullptr) << "pc " << pc;
+                ASSERT_EQ(e->si, it->second) << "pc " << pc;
+            }
+        }
+        if (prog->procs.size() > 1) {
+            EXPECT_GT(gapPcs, 0u) << "no inter-procedure gap probed";
+        }
+        EXPECT_EQ(table.find(~0ull), nullptr);
+        EXPECT_EQ(table.find(1ull << 40), nullptr);
     }
 }
 
