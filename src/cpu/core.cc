@@ -92,6 +92,8 @@ Core::Core(const Program &prog, const CoreConfig &config,
     // simulate the wrong instruction stream
     SIQ_ASSERT(trace->program().contentHash == prog.contentHash,
                "trace/program content mismatch");
+    if (ctrl != nullptr)
+        readLimits();
     stream = TraceCursor(trace);
     pcs = &trace->pcTable();
     fetchLineShift = std::countr_zero(cfg.mem.l1i.lineBytes);
@@ -371,12 +373,11 @@ Core::dispatchBlock(const DynInst &front) const
     const bool needsIq = t.fu != FuClass::None;
     if (robCount >= cfg.robSize)
         return DispatchBlock::Rob;
-    if (ctrl != nullptr && robCount >= ctrl->robLimit())
+    if (robCount >= robLimit)
         return DispatchBlock::RobLimit;
     if (needsIq && iq.regionFull())
         return DispatchBlock::IqFull;
-    if (needsIq && ctrl != nullptr &&
-        iq.validCount() >= ctrl->iqLimit())
+    if (needsIq && iq.validCount() >= iqLimit)
         return DispatchBlock::IqLimit;
     if (si.tagHint != 0 && !front.hintApplied)
         return DispatchBlock::TagHint;
@@ -826,6 +827,7 @@ Core::tick()
     if (ctrl != nullptr) {
         signals.iqValid = iq.validCount();
         ctrl->tick(signals);
+        readLimits();
     }
     now++;
 }
@@ -937,6 +939,8 @@ Core::maybeFastForward()
         s.dispatchStalledByLimit = stalledByLimit;
         for (std::uint64_t u = 0; u < delta; u++)
             ctrl->tick(s);
+        // nothing reads the limits between these ticks
+        readLimits();
     }
     now = next;
 }

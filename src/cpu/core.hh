@@ -42,6 +42,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -480,6 +481,20 @@ class Core
 
     CoreConfig cfg;
     IqLimitController *ctrl;
+    /** ctrl's robLimit()/iqLimit(), re-read after each cycle's
+     *  ctrl->tick() and after fast-forward's batch of ticks (ticks
+     *  are the only place they may change); INT_MAX without a
+     *  controller, so dispatch never stalls on them. */
+    int robLimit = std::numeric_limits<int>::max();
+    int iqLimit = std::numeric_limits<int>::max();
+
+    /** Re-read the controller's limits after it ticked. */
+    void
+    readLimits()
+    {
+        robLimit = ctrl->robLimit();
+        iqLimit = ctrl->iqLimit();
+    }
 
     /** The functional stream: a cursor over the caller's shared
      *  trace, or over ownTrace when the caller passed none. */

@@ -1,5 +1,7 @@
 #include "cpu/lsq.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace siq
@@ -9,6 +11,19 @@ Lsq::Lsq(const LsqConfig &config) : cfg(config)
 {
     SIQ_ASSERT(cfg.numEntries > 0, "empty LSQ");
     entries.assign(static_cast<std::size_t>(cfg.numEntries), {});
+    // at least two buckets per entry keeps bucket chains short
+    const std::size_t nbuckets = std::bit_ceil(
+        2 * static_cast<std::size_t>(cfg.numEntries));
+    buckets.assign(nbuckets, {});
+    bucketShift = 64 - static_cast<unsigned>(std::countr_zero(nbuckets));
+}
+
+std::size_t
+Lsq::bucketOf(std::uint64_t addr) const
+{
+    // Fibonacci hashing: strided addresses spread over the buckets
+    return static_cast<std::size_t>((addr * 0x9e3779b97f4a7c15ull) >>
+                                    bucketShift);
 }
 
 int
@@ -16,13 +31,24 @@ Lsq::allocate(bool isStore, std::uint64_t wordAddr, int robIdx)
 {
     SIQ_ASSERT(!full(), "allocate into a full LSQ");
     const int idx = tail;
-    entries[idx] = {true, isStore, false, false, wordAddr, robIdx};
-    tail = tail + 1 == cfg.numEntries ? 0 : tail + 1;
-    count++;
+    Entry &e = entries[idx];
+    e = {true, isStore, false, false, wordAddr, robIdx, nextSeq++, {}, {}};
+    // the youngest older same-address store, found on its bucket chain
+    Link &bucket = buckets[bucketOf(wordAddr)];
+    for (Link l = bucket; const Entry *s = live(l); l = s->bucketOlder) {
+        if (s->addr == wordAddr) {
+            e.sameAddr = l;
+            break;
+        }
+    }
     if (isStore) {
+        e.bucketOlder = bucket;
+        bucket = {idx, e.seq};
         numStores++;
         pendingStores++;
     }
+    tail = tail + 1 == cfg.numEntries ? 0 : tail + 1;
+    count++;
     return idx;
 }
 
@@ -31,16 +57,11 @@ Lsq::loadBlocked(int idx) const
 {
     if (pendingStores == 0)
         return false;
-    // walk older entries (from idx back to head) looking for an
-    // incomplete same-address store
-    int cur = idx;
-    while (cur != head) {
-        cur = prev(cur);
-        const Entry &e = entries[cur];
-        if (e.valid && e.isStore && e.addr == entries[idx].addr &&
-            !e.completed) {
+    // any incomplete older same-address store blocks the load
+    for (const Entry *s = live(entries[idx].sameAddr); s != nullptr;
+         s = live(s->sameAddr)) {
+        if (!s->completed)
             return true;
-        }
     }
     return false;
 }
@@ -51,14 +72,8 @@ Lsq::loadForwards(int idx) const
     if (numStores == 0)
         return false;
     // the youngest older same-address store supplies the value
-    int cur = idx;
-    while (cur != head) {
-        cur = prev(cur);
-        const Entry &e = entries[cur];
-        if (e.valid && e.isStore && e.addr == entries[idx].addr)
-            return e.completed;
-    }
-    return false;
+    const Entry *s = live(entries[idx].sameAddr);
+    return s != nullptr && s->completed;
 }
 
 void
@@ -72,6 +87,7 @@ Lsq::releaseHead(int idx)
         if (!e.completed)
             pendingStores--;
     }
+    // links to it (bucket head included) now read as dead
     e.valid = false;
     head = head + 1 == cfg.numEntries ? 0 : head + 1;
     count--;
@@ -89,6 +105,9 @@ Lsq::squashTail(int n)
             numStores--;
             if (!e.completed)
                 pendingStores--;
+            // youngest first, so the squashed store heads its bucket:
+            // hand the bucket back to the next-older store
+            buckets[bucketOf(e.addr)] = e.bucketOlder;
         }
         e.valid = false;
         count--;

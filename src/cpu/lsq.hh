@@ -8,6 +8,16 @@
  * older store to the same word has completed, and forwards from the
  * youngest such store when one exists. Entries live in program order
  * and are released at commit.
+ *
+ * Both queries follow a same-address chain built at allocation
+ * instead of walking the queue: each load links to its youngest older
+ * same-address store and each store to its next-older one. Stores
+ * reach each other at allocation through a small table of per-bucket
+ * store chains (bucket = hashed address). Every link carries the
+ * target's allocation sequence number, so a link to a released,
+ * squashed or reused slot reads as the end of its chain; since
+ * entries leave only from the head (commit) or the tail (squash), a
+ * dead link also means every older store on its chain has left.
  */
 
 #ifndef SIQ_CPU_LSQ_HH
@@ -67,6 +77,14 @@ class Lsq
     void squashTail(int n);
 
   private:
+    /** A reference to an entry, live while the slot still holds the
+     *  allocation numbered @c seq (seq 0 is never allocated). */
+    struct Link
+    {
+        int idx = 0;
+        std::uint64_t seq = 0;
+    };
+
     struct Entry
     {
         bool valid = false;
@@ -75,6 +93,12 @@ class Lsq
         bool completed = false;
         std::uint64_t addr = 0;
         int robIdx = -1;
+        std::uint64_t seq = 0;
+        /** Youngest older same-address store (of a load), or next
+         *  older same-address store (of a store). */
+        Link sameAddr;
+        /** Store only: the next-older store in the same bucket. */
+        Link bucketOlder;
     };
 
     int
@@ -83,15 +107,28 @@ class Lsq
         return idx == 0 ? cfg.numEntries - 1 : idx - 1;
     }
 
+    /** The entry @p l refers to, or nullptr when it has left. */
+    const Entry *
+    live(const Link &l) const
+    {
+        const Entry &e = entries[l.idx];
+        return e.valid && e.seq == l.seq ? &e : nullptr;
+    }
+
+    std::size_t bucketOf(std::uint64_t addr) const;
+
     LsqConfig cfg;
     std::vector<Entry> entries;
+    /** Per bucket: the youngest store whose address hashes there. */
+    std::vector<Link> buckets;
+    unsigned bucketShift = 0;
+    std::uint64_t nextSeq = 1;
     int head = 0;
     int tail = 0;
     int count = 0;
     /** Valid store entries / valid not-yet-completed store entries:
-     *  early-outs for the per-issue-candidate program-order walks
-     *  (no stores in flight → a load can neither block nor forward).
-     *  Pure shortcuts — walk results are unchanged. */
+     *  early-outs for the per-issue-candidate chain walks (no stores
+     *  in flight → a load can neither block nor forward). */
     int numStores = 0;
     int pendingStores = 0;
 };

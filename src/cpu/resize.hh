@@ -25,7 +25,11 @@ struct ResizeSignals
     bool dispatchStalledByLimit = false;
 };
 
-/** Hardware IQ/ROB occupancy limiter. */
+/**
+ * Hardware IQ/ROB occupancy limiter. iqLimit() and robLimit() may
+ * change only inside tick(): the core reads them once at construction
+ * and again after every tick, and dispatch honours those copies.
+ */
 class IqLimitController
 {
   public:

@@ -68,6 +68,7 @@ PcTable::PcTable(const Program &prog)
                     : blockStartPc(prog, pi, blk.fallthrough);
             for (std::size_t i = 0; i < blk.insts.size(); i++) {
                 const StaticInst &si = blk.insts[i];
+                to32(si.pc); // records and entries store PCs in 32 bits
                 PcEntry e;
                 e.si = &si;
                 e.seqPc = to32(i + 1 < blk.insts.size()
@@ -136,25 +137,22 @@ FuncTrace::produceTo(std::uint64_t idx)
     while (produced < target && !exec.halted()) {
         if (produced % chunkRecords == 0) {
             chunks.push_back(
-                std::make_unique<TraceRecord[]>(chunkRecords));
+                std::make_unique_for_overwrite<TraceRecord[]>(
+                    chunkRecords));
             _bytes.fetch_add(chunkRecords * sizeof(TraceRecord),
                              std::memory_order_relaxed);
         }
         const StepResult sr = exec.step();
-        const CtrlTargets ct = ctrlTargets(*_prog, sr);
-        SIQ_ASSERT(ct.actualNextPc <=
-                   std::numeric_limits<std::uint32_t>::max(),
-                   "program PCs exceed the trace record's 32-bit "
-                   "next-PC field");
         TraceRecord &rec =
             chunks[produced / chunkRecords][produced % chunkRecords];
         rec.si = sr.inst;
-        rec.nextPc = static_cast<std::uint32_t>(ct.actualNextPc);
+        // the PC table's construction checked every PC fits 32 bits
+        rec.nextPc = static_cast<std::uint32_t>(exec.nextPc());
         const auto &t = sr.inst->traits();
         if (t.isLoad || t.isStore)
             rec.aux = sr.memAddr;
         else if (sr.inst->op == Opcode::Call)
-            rec.aux = ct.rasPushPc;
+            rec.aux = _pcs.find(sr.inst->pc)->rasPushPc;
         else
             rec.aux = 0;
         rec.flags = static_cast<std::uint8_t>(

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "ir/exec.hh"
@@ -58,23 +59,30 @@ constexpr std::uint8_t traceFlagHalted = 1 << 1; ///< program ended here
  * return-address-stack push PC for calls (an instruction is never
  * both); `nextPc` is the PC of the next instruction in program order
  * after control resolution (0 once halted) — the value the front-end
- * compares branch-target-buffer predictions against.
+ * compares branch-target-buffer predictions against. Trivially
+ * default-constructible, so arena chunks are allocated without being
+ * zero-filled: the producer writes every field of a record before
+ * any window exposes it.
  */
 struct TraceRecord
 {
-    const StaticInst *si = nullptr;
-    std::uint64_t aux = 0;
-    std::uint32_t nextPc = 0;
-    std::uint8_t flags = 0;
+    const StaticInst *si;
+    std::uint64_t aux;
+    std::uint32_t nextPc;
+    std::uint8_t flags;
 };
 
 static_assert(sizeof(TraceRecord) == 24,
               "trace records are meant to be compact");
+static_assert(std::is_trivially_default_constructible_v<TraceRecord>,
+              "chunks are allocated without initialisation");
 
 /**
  * The control-prediction inputs derived from one step of the
  * interpreter: what the trace producer stores in a record's nextPc
- * and (for calls) aux fields.
+ * and (for calls) aux fields. The producer reads the same values
+ * from the interpreter's resolved next position and the PC table;
+ * this walk of the program structure is their test reference.
  */
 struct CtrlTargets
 {

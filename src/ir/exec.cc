@@ -37,11 +37,13 @@ wrapMul(std::int64_t a, std::int64_t b)
 } // namespace
 
 ExecContext::ExecContext(const Program &prog_)
-    : prog(prog_), proc(prog_.entryProc)
+    : prog(prog_), memWords(prog_.memWords), proc(prog_.entryProc)
 {
-    mem.assign(prog.memWords, 0);
-    for (const auto &[addr, value] : prog.memInit)
-        mem[wrap(static_cast<std::int64_t>(addr))] = value;
+    mem.assign(memWords, 0);
+    if (prog.memImage) {
+        for (const auto &[addr, value] : prog.memImage->words())
+            mem[wrap(static_cast<std::int64_t>(addr))] = value;
+    }
     normalize();
 }
 
@@ -67,8 +69,13 @@ std::uint64_t
 ExecContext::wrap(std::int64_t wordAddr) const
 {
     // Addresses wrap modulo the memory size; keeps synthetic workloads
-    // deterministic even when index arithmetic overshoots.
-    const auto size = static_cast<std::int64_t>(prog.memWords);
+    // deterministic even when index arithmetic overshoots. In-range
+    // addresses (every one the built-in families compute) pass
+    // straight through; only an overshoot pays for the division.
+    const auto a = static_cast<std::uint64_t>(wordAddr);
+    if (a < memWords)
+        return a;
+    const auto size = static_cast<std::int64_t>(memWords);
     std::int64_t m = wordAddr % size;
     if (m < 0)
         m += size;

@@ -52,6 +52,17 @@ class ExecContext
     bool halted() const { return _halted; }
     std::uint64_t instsExecuted() const { return _instsExecuted; }
 
+    /** PC of the instruction the next step() executes (the position
+     *  normalize() already resolved through empty blocks); 0 once
+     *  halted. */
+    std::uint64_t
+    nextPc() const
+    {
+        return _halted
+                   ? 0
+                   : curBlk->insts[static_cast<std::size_t>(instIdx)].pc;
+    }
+
     /// @name Observation hooks for tests.
     /// @{
     std::int64_t intReg(int r) const { return iregs[r]; }
@@ -85,6 +96,7 @@ class ExecContext
     void normalize();
 
     const Program &prog;
+    const std::uint64_t memWords; ///< prog.memWords, read per access
     /** Cache of &prog.procs[proc].blocks[block], refreshed by
      *  normalize() — the hot path reads the current block through
      *  this instead of two vector indirections per step. Stale (and

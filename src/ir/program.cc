@@ -10,36 +10,54 @@ namespace siq
 namespace
 {
 
-/** Incremental FNV-1a 64-bit hasher for the content fingerprint. */
-class Fnv
+/**
+ * Chained splitmix64 finalizer over whole 64-bit words. Each step is a
+ * bijection of (state, word), so two sequences of equal length that
+ * differ in exactly one word always hash differently.
+ */
+class WordHasher
 {
   public:
     void
     mix(std::uint64_t v)
     {
-        for (int i = 0; i < 8; i++) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
+        std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ull;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        h = z ^ (z >> 31);
     }
 
     std::uint64_t value() const { return h; }
 
   private:
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = 0x6a09e667f3bcc909ull;
 };
+
+/** MemImage's hash: the pair count, then every address and value in
+ *  order, in two independent chains (addresses, values) that halve
+ *  the latency of hashing the largest images. */
+std::uint64_t
+hashImage(const std::vector<MemImage::Word> &words)
+{
+    WordHasher addrs;
+    WordHasher values;
+    addrs.mix(words.size());
+    for (const auto &[addr, value] : words) {
+        addrs.mix(addr);
+        values.mix(static_cast<std::uint64_t>(value));
+    }
+    addrs.mix(values.value());
+    return addrs.value();
+}
 
 std::uint64_t
 hashContent(const Program &prog)
 {
-    Fnv f;
+    static const std::uint64_t emptyImage = hashImage({});
+    WordHasher f;
     f.mix(static_cast<std::uint64_t>(prog.entryProc));
     f.mix(prog.memWords);
-    f.mix(prog.memInit.size());
-    for (const auto &[addr, value] : prog.memInit) {
-        f.mix(addr);
-        f.mix(static_cast<std::uint64_t>(value));
-    }
+    f.mix(prog.memImage ? prog.memImage->hash() : emptyImage);
     f.mix(prog.procs.size());
     for (const auto &proc : prog.procs) {
         f.mix(proc.blocks.size());
@@ -71,6 +89,11 @@ hashContent(const Program &prog)
 }
 
 } // namespace
+
+MemImage::MemImage(std::vector<Word> words)
+    : _words(std::move(words)), _hash(hashImage(_words))
+{
+}
 
 std::uint64_t
 blockStartPc(const Program &prog, int proc, int block)

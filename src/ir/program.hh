@@ -19,6 +19,7 @@
 #define SIQ_IR_PROGRAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,34 @@ struct Procedure
     }
 };
 
+/**
+ * A program's initial data-memory image: sparse (word address, value)
+ * pairs applied in order before execution, so a later pair for the
+ * same word wins. Sealed once by ProgramBuilder::build() and immutable
+ * from then on: every copy of the Program — each hint-annotated
+ * variant, each cached and each standalone copy — shares the one image
+ * through a shared_ptr<const MemImage>. It stays sparse because a
+ * serve daemon keeps every program it has built alive.
+ */
+class MemImage
+{
+  public:
+    using Word = std::pair<std::uint64_t, std::int64_t>;
+
+    /** Seal @p words and hash them (once per image). */
+    explicit MemImage(std::vector<Word> words);
+
+    const std::vector<Word> &words() const { return _words; }
+
+    /** Word-wise hash of the pair count and every (address, value)
+     *  pair in order; Program::finalize() mixes it into contentHash. */
+    std::uint64_t hash() const { return _hash; }
+
+  private:
+    std::vector<Word> _words;
+    std::uint64_t _hash;
+};
+
 /** A whole program plus its initial data memory image. */
 struct Program
 {
@@ -78,17 +107,21 @@ struct Program
     int entryProc = 0;
     /** Data memory size in 8-byte words; addresses wrap modulo this. */
     std::uint64_t memWords = 1 << 16;
-    /** Sparse initial memory image applied before execution. */
-    std::vector<std::pair<std::uint64_t, std::int64_t>> memInit;
+    /** The initial memory image, shared by every copy; null = empty. */
+    std::shared_ptr<const MemImage> memImage;
 
     /**
-     * Content fingerprint (FNV-1a 64 over every field that affects
-     * execution: instructions, block structure, entry point, memory
-     * size and image), filled by finalize(). Two Program objects with
-     * equal hashes execute identically instruction for instruction —
-     * the key the sweep engine's functional-trace cache shares traces
-     * under, across techniques whose annotation was a no-op and across
-     * ablation cells that only vary microarchitectural knobs.
+     * Content fingerprint over every field that affects execution
+     * (instructions, block structure, entry point, memory size and the
+     * image's hash), mixed a whole 64-bit word at a time by a chained
+     * splitmix64 finalizer; filled by finalize(). Two Program objects
+     * with equal hashes execute identically instruction for
+     * instruction — the key the sweep engine's functional-trace cache
+     * shares traces under, across techniques whose annotation was a
+     * no-op and across ablation cells that only vary
+     * microarchitectural knobs. An in-process cache key only: it is
+     * never exported or checkpointed, so its values may change
+     * between versions.
      */
     std::uint64_t contentHash = 0;
 

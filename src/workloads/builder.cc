@@ -180,7 +180,7 @@ ProgramBuilder::alloc(std::uint64_t words)
 void
 ProgramBuilder::initMem(std::uint64_t wordAddr, std::int64_t value)
 {
-    prog.memInit.emplace_back(wordAddr, value);
+    memInit.emplace_back(wordAddr, value);
 }
 
 Program
@@ -188,6 +188,7 @@ ProgramBuilder::build()
 {
     SIQ_ASSERT(!built, "build() called twice");
     built = true;
+    prog.memImage = std::make_shared<const MemImage>(std::move(memInit));
     prog.finalize();
     return std::move(prog);
 }

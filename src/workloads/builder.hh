@@ -121,13 +121,16 @@ class ProgramBuilder
     void initMem(std::uint64_t wordAddr, std::int64_t value);
     /// @}
 
-    /** Finalize and return the program (builder becomes unusable). */
+    /** Seal the memory image, finalize and return the program
+     *  (builder becomes unusable). */
     Program build();
 
   private:
     BasicBlock &cur();
 
     Program prog;
+    /** initMem() pairs, sealed into prog.memImage by build(). */
+    std::vector<MemImage::Word> memInit;
     int curProc = -1;
     int curBlock = -1;
     std::uint64_t allocPtr = 64; // low words reserved (stack red zone)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <numeric>
 #include <set>
@@ -279,8 +280,13 @@ TEST(Lsq, ReleaseInCommitOrderAndWrap)
  * Randomized shadow-model stress for the LSQ: a naive program-order
  * reference must agree on loadBlocked/loadForwards (walk all older
  * entries, youngest matching store decides) and on the size/full
- * observables, across randomized allocate/issue/complete/commit
- * streams with heavy address aliasing.
+ * observables, across randomized allocate/issue/complete/commit/squash
+ * streams with heavy address aliasing. The stream is biased to reach
+ * the cases the LSQ's same-address chains must survive — stores
+ * completing out of order, stores committing while a younger
+ * same-address load waits, squashes of stores that head an address's
+ * chain, and slot reuse after wrap-around — and counts each so a
+ * change in the stream cannot silently stop exercising them.
  */
 TEST(Lsq, RandomizedShadowModelAgrees)
 {
@@ -296,9 +302,33 @@ TEST(Lsq, RandomizedShadowModelAgrees)
     Lsq lsq(cfg);
     std::deque<ShadowEntry> shadow; // oldest (head) first
 
+    // shadow-model verdicts for the load at shadow[i]
+    const auto blockedAt = [&](std::size_t i) {
+        for (std::size_t k = i; k-- > 0;) {
+            const auto &older = shadow[k];
+            if (older.isStore && older.addr == shadow[i].addr &&
+                !older.completed)
+                return true;
+        }
+        return false;
+    };
+    const auto forwardsAt = [&](std::size_t i) {
+        for (std::size_t k = i; k-- > 0;) {
+            const auto &older = shadow[k];
+            if (older.isStore && older.addr == shadow[i].addr)
+                return older.completed;
+        }
+        return false;
+    };
+
+    std::uint64_t outOfOrderCompletions = 0;
+    std::uint64_t commitsPastWaitingLoad = 0;
+    std::uint64_t squashedStores = 0;
+    std::uint64_t allocations = 0;
+
     Rng rng(9090);
-    for (int step = 0; step < 30000; step++) {
-        const int action = static_cast<int>(rng.range(0, 9));
+    for (int step = 0; step < 40000; step++) {
+        const int action = static_cast<int>(rng.range(0, 11));
         if (action < 4 && !lsq.full()) {
             const bool isStore = rng.chance(0.4);
             // 8 addresses only, to force constant aliasing
@@ -306,8 +336,10 @@ TEST(Lsq, RandomizedShadowModelAgrees)
                 static_cast<std::uint64_t>(rng.range(0, 7));
             const int idx = lsq.allocate(isStore, addr, step);
             shadow.push_back({isStore, addr, false, idx});
+            allocations++;
         } else if (action < 7 && !shadow.empty()) {
-            // drive a random entry one step through issue/complete
+            // drive a random entry one step through issue/complete;
+            // stores complete in any order
             const std::size_t pick = static_cast<std::size_t>(
                 rng.range(0,
                           static_cast<std::int64_t>(shadow.size()) -
@@ -316,14 +348,43 @@ TEST(Lsq, RandomizedShadowModelAgrees)
             if (!e.completed && rng.chance(0.5)) {
                 lsq.markIssued(e.idx);
             } else if (!e.completed) {
+                if (e.isStore) {
+                    for (std::size_t k = 0; k < pick; k++) {
+                        if (shadow[k].isStore && !shadow[k].completed) {
+                            outOfOrderCompletions++;
+                            break;
+                        }
+                    }
+                }
                 lsq.markIssued(e.idx);
                 lsq.markCompleted(e.idx);
                 e.completed = true;
             }
-        } else if (action < 9 && !shadow.empty()) {
-            // commit: release the head entry
-            lsq.releaseHead(shadow.front().idx);
+        } else if (action < 10 && !shadow.empty()) {
+            // commit: release the head entry, even while younger
+            // loads still wait on it or forward from it
+            const ShadowEntry head = shadow.front();
+            if (head.isStore) {
+                for (std::size_t i = 1; i < shadow.size(); i++) {
+                    if (!shadow[i].isStore &&
+                        shadow[i].addr == head.addr && blockedAt(i)) {
+                        commitsPastWaitingLoad++;
+                        break;
+                    }
+                }
+            }
+            lsq.releaseHead(head.idx);
             shadow.pop_front();
+        } else if (action == 10 && !shadow.empty()) {
+            // wrong-path recovery: squash the youngest few entries
+            const int n = static_cast<int>(rng.range(
+                1, std::min<std::int64_t>(
+                       4, static_cast<std::int64_t>(shadow.size()))));
+            lsq.squashTail(n);
+            for (int k = 0; k < n; k++) {
+                squashedStores += shadow.back().isStore ? 1 : 0;
+                shadow.pop_back();
+            }
         }
 
         ASSERT_EQ(lsq.size(), static_cast<int>(shadow.size()))
@@ -335,28 +396,18 @@ TEST(Lsq, RandomizedShadowModelAgrees)
         for (std::size_t i = 0; i < shadow.size(); i++) {
             if (shadow[i].isStore)
                 continue;
-            // blocked: ANY older same-address store not yet complete;
-            // forwards: the YOUNGEST older same-address store exists
-            // and has completed
-            bool blocked = false;
-            bool forwards = false;
-            bool sawMatch = false;
-            for (std::size_t k = i; k-- > 0;) {
-                const auto &older = shadow[k];
-                if (!older.isStore || older.addr != shadow[i].addr)
-                    continue;
-                blocked = blocked || !older.completed;
-                if (!sawMatch) {
-                    sawMatch = true;
-                    forwards = older.completed;
-                }
-            }
-            ASSERT_EQ(lsq.loadBlocked(shadow[i].idx), blocked)
+            ASSERT_EQ(lsq.loadBlocked(shadow[i].idx), blockedAt(i))
                 << "step " << step << " entry " << i;
-            ASSERT_EQ(lsq.loadForwards(shadow[i].idx), forwards)
+            ASSERT_EQ(lsq.loadForwards(shadow[i].idx), forwardsAt(i))
                 << "step " << step << " entry " << i;
         }
     }
+
+    EXPECT_GT(outOfOrderCompletions, 100u);
+    EXPECT_GT(commitsPastWaitingLoad, 100u);
+    EXPECT_GT(squashedStores, 100u);
+    EXPECT_GT(allocations, 10u * static_cast<unsigned>(cfg.numEntries))
+        << "slots must be reused many times over";
 }
 
 TEST(Cache, HitAfterMiss)

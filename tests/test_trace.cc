@@ -10,6 +10,8 @@
 
 #include <map>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "cpu/trace.hh"
@@ -51,6 +53,54 @@ TEST(ContentHash, DeterministicAndSeedSensitive)
     EXPECT_NE(a->contentHash, generateShared("mcf")->contentHash);
 }
 
+/** A one-procedure program over @p memWords words of memory whose
+ *  image is @p image: it loads the first image word and halts. */
+Program
+imageProgram(std::uint64_t memWords,
+             const std::vector<MemImage::Word> &image)
+{
+    ProgramBuilder b("image", memWords);
+    b.newProc("main");
+    b.emit(makeLoad(1, 0, 64));
+    b.emit(makeHalt());
+    for (const auto &[addr, value] : image)
+        b.initMem(addr, value);
+    return b.build();
+}
+
+/** The hash covers every image word, every image address and the
+ *  memory size: changing exactly one of them changes it, and a
+ *  rebuilt program hashes the same. */
+TEST(ContentHash, EveryImageWordAddressAndMemorySizeCounts)
+{
+    const std::vector<MemImage::Word> image{
+        {64, 1}, {65, -2}, {100, 3}, {101, 1ll << 40}};
+    const std::uint64_t h = imageProgram(256, image).contentHash;
+    EXPECT_EQ(imageProgram(256, image).contentHash, h);
+    for (std::size_t i = 0; i < image.size(); i++) {
+        auto value = image;
+        value[i].second ^= 1;
+        EXPECT_NE(imageProgram(256, value).contentHash, h)
+            << "value of pair " << i;
+        auto addr = image;
+        addr[i].first += 1;
+        EXPECT_NE(imageProgram(256, addr).contentHash, h)
+            << "address of pair " << i;
+    }
+    EXPECT_NE(imageProgram(257, image).contentHash, h) << "memWords";
+    EXPECT_NE(imageProgram(512, image).contentHash, h) << "memWords";
+    auto shorter = image;
+    shorter.pop_back();
+    EXPECT_NE(imageProgram(256, shorter).contentHash, h);
+
+    // a missing image and an empty one execute alike and hash alike
+    Program bare = imageProgram(256, {});
+    const std::uint64_t empty = bare.contentHash;
+    bare.memImage = nullptr;
+    bare.finalize();
+    EXPECT_EQ(bare.contentHash, empty);
+}
+
 TEST(FuncTrace, LazyChunkedProductionEndsAtHalt)
 {
     ProgramBuilder b("tiny", 64);
@@ -81,6 +131,92 @@ TEST(FuncTrace, LazyChunkedProductionEndsAtHalt)
     // records are stable across cursors
     TraceCursor cur2(&trace);
     EXPECT_EQ(&cur2.at(1), &cur.at(1));
+}
+
+/** A program that halts part-way into its second chunk: production
+ *  stops at the halt record, and no window ever reaches past
+ *  producedRecords(), so a chunk's unwritten tail (allocated without
+ *  initialisation) is never exposed. */
+TEST(FuncTrace, HaltMidChunkExposesOnlyProducedRecords)
+{
+    ProgramBuilder b("midchunk", 256);
+    b.newProc("main");
+    b.emit(makeMovImm(1, 0));
+    b.emit(makeMovImm(2, 3000));
+    auto loop = b.beginLoop(1, 2);
+    b.emit(makeLoad(3, 1, 64));
+    b.endLoop(loop);
+    b.emit(makeHalt());
+    const auto prog = std::make_shared<const Program>(b.build());
+
+    ExecContext ref(*prog);
+    std::vector<StepResult> steps;
+    while (!ref.halted())
+        steps.push_back(ref.step());
+    const std::uint64_t n = steps.size();
+    ASSERT_GT(n, FuncTrace::chunkRecords);
+    ASSERT_LT(n, 2 * FuncTrace::chunkRecords);
+    ASSERT_NE(n % FuncTrace::chunkRecords, 0u);
+
+    FuncTrace trace(prog);
+    const FuncTrace::Window first = trace.window(0);
+    EXPECT_EQ(trace.producedRecords(), FuncTrace::chunkRecords);
+    EXPECT_EQ(first.end, FuncTrace::chunkRecords);
+
+    const FuncTrace::Window last = trace.window(FuncTrace::chunkRecords);
+    EXPECT_EQ(trace.producedRecords(), n);
+    EXPECT_EQ(last.begin, FuncTrace::chunkRecords);
+    EXPECT_EQ(last.end, n);
+    EXPECT_EQ(trace.bytes(),
+              2 * FuncTrace::chunkRecords * sizeof(TraceRecord));
+
+    for (std::uint64_t i = 0; i < n; i++) {
+        const FuncTrace::Window w = trace.window(i);
+        ASSERT_LE(w.begin, i);
+        ASSERT_LT(i, w.end);
+        ASSERT_LE(w.end, trace.producedRecords());
+        const TraceRecord &rec = w.base[i - w.begin];
+        ASSERT_EQ(rec.si, steps[i].inst) << "record " << i;
+        ASSERT_EQ((rec.flags & traceFlagHalted) != 0, i + 1 == n)
+            << "record " << i;
+    }
+}
+
+/** Copies of a program share its one immutable memory image, so
+ *  traces of them may be produced on concurrent threads (TSan runs
+ *  this suite): each reads the shared image into its own interpreter
+ *  memory, and both streams equal a serial production's. */
+TEST(FuncTrace, ConcurrentTracesShareOneImage)
+{
+    const auto raw = generateShared("mcf");
+    const auto a = std::make_shared<const Program>(*raw);
+    const auto b = std::make_shared<const Program>(*raw);
+    ASSERT_EQ(a->memImage, raw->memImage);
+    ASSERT_EQ(b->memImage, raw->memImage);
+
+    constexpr std::uint64_t records = 3 * FuncTrace::chunkRecords;
+    FuncTrace ta(a);
+    FuncTrace tb(b);
+    std::thread ra([&] { ta.window(records - 1); });
+    std::thread rb([&] { tb.window(records - 1); });
+    ra.join();
+    rb.join();
+
+    FuncTrace serial(raw);
+    TraceCursor cs(&serial);
+    TraceCursor ca(&ta);
+    TraceCursor cb(&tb);
+    for (std::uint64_t i = 0; i < records; i++) {
+        const TraceRecord &ref = cs.at(i);
+        for (TraceCursor *c : {&ca, &cb}) {
+            const TraceRecord &rec = c->at(i);
+            // copies hold their own StaticInsts: compare by PC
+            ASSERT_EQ(rec.si->pc, ref.si->pc) << "record " << i;
+            ASSERT_EQ(rec.aux, ref.aux) << "record " << i;
+            ASSERT_EQ(rec.nextPc, ref.nextPc) << "record " << i;
+            ASSERT_EQ(rec.flags, ref.flags) << "record " << i;
+        }
+    }
 }
 
 /** Every record carries exactly what one interpreter step yields:

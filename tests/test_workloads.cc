@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <set>
 
+#include "compiler/pass.hh"
 #include "cpu/core.hh"
 #include "ir/exec.hh"
 #include "isa/opcode.hh"
 #include "sim/sweep.hh"
+#include "sim/technique.hh"
 #include "workloads/family.hh"
 #include "workloads/workloads.hh"
 
@@ -70,9 +72,11 @@ fingerprint(const Program &prog)
             }
         }
     }
-    for (const auto &[addr, value] : prog.memInit) {
-        mix(addr);
-        mix(static_cast<std::uint64_t>(value));
+    if (prog.memImage) {
+        for (const auto &[addr, value] : prog.memImage->words()) {
+            mix(addr);
+            mix(static_cast<std::uint64_t>(value));
+        }
     }
     return h;
 }
@@ -116,9 +120,45 @@ TEST(Workloads, GenerationIsDeterministic)
         const Program a = generate(name, tiny());
         const Program b = generate(name, tiny());
         ASSERT_EQ(a.instCount(), b.instCount()) << name;
-        ASSERT_EQ(a.memInit.size(), b.memInit.size()) << name;
-        for (std::size_t i = 0; i < a.memInit.size(); i += 97)
-            EXPECT_EQ(a.memInit[i], b.memInit[i]) << name;
+        ASSERT_NE(a.memImage, nullptr) << name;
+        ASSERT_NE(b.memImage, nullptr) << name;
+        EXPECT_NE(a.memImage, b.memImage)
+            << name << ": each generation seals its own image";
+        EXPECT_EQ(a.memImage->words(), b.memImage->words()) << name;
+        EXPECT_EQ(a.memImage->hash(), b.memImage->hash()) << name;
+        EXPECT_EQ(a.contentHash, b.contentHash) << name;
+    }
+}
+
+/** The paper's compiler schemes only insert hint NOOPs, so every
+ *  annotated variant of a workload — annotated on a copy, as the
+ *  sweep engine does — shares the raw program's memory image object,
+ *  and still hashes differently from the raw program. */
+TEST(Workloads, AnnotatedVariantsShareTheRawImage)
+{
+    for (const auto &name : familyNames()) {
+        const Program raw = generate(name, tiny());
+        ASSERT_NE(raw.memImage, nullptr) << name;
+        int variants = 0;
+        for (const auto &tech : sim::techniqueNames()) {
+            const sim::TechniqueDef *def = sim::findTechnique(tech);
+            ASSERT_NE(def, nullptr) << tech;
+            if (!def->compilerConfig)
+                continue;
+            sim::RunConfig cfg;
+            cfg.tech = def->tag;
+            const auto cc = def->compilerConfig(cfg);
+            if (!cc)
+                continue;
+            Program annotated = raw;
+            compiler::annotate(annotated, *cc);
+            EXPECT_EQ(annotated.memImage.get(), raw.memImage.get())
+                << name << " " << tech;
+            EXPECT_NE(annotated.contentHash, raw.contentHash)
+                << name << " " << tech;
+            variants++;
+        }
+        EXPECT_GE(variants, 3) << name << ": noop, extension, improved";
     }
 }
 
