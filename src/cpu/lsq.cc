@@ -1,7 +1,5 @@
 #include "cpu/lsq.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace siq
@@ -11,19 +9,6 @@ Lsq::Lsq(const LsqConfig &config) : cfg(config)
 {
     SIQ_ASSERT(cfg.numEntries > 0, "empty LSQ");
     entries.assign(static_cast<std::size_t>(cfg.numEntries), {});
-    // at least two buckets per entry keeps bucket chains short
-    const std::size_t nbuckets = std::bit_ceil(
-        2 * static_cast<std::size_t>(cfg.numEntries));
-    buckets.assign(nbuckets, {});
-    bucketShift = 64 - static_cast<unsigned>(std::countr_zero(nbuckets));
-}
-
-std::size_t
-Lsq::bucketOf(std::uint64_t addr) const
-{
-    // Fibonacci hashing: strided addresses spread over the buckets
-    return static_cast<std::size_t>((addr * 0x9e3779b97f4a7c15ull) >>
-                                    bucketShift);
 }
 
 int
@@ -32,18 +17,20 @@ Lsq::allocate(bool isStore, std::uint64_t wordAddr, int robIdx)
     SIQ_ASSERT(!full(), "allocate into a full LSQ");
     const int idx = tail;
     Entry &e = entries[idx];
-    e = {true, isStore, false, false, wordAddr, robIdx, nextSeq++, {}, {}};
-    // the youngest older same-address store, found on its bucket chain
-    Link &bucket = buckets[bucketOf(wordAddr)];
-    for (Link l = bucket; const Entry *s = live(l); l = s->bucketOlder) {
-        if (s->addr == wordAddr) {
-            e.sameAddr = l;
-            break;
+    e = {true, isStore, false, false, wordAddr, robIdx, nextSeq++, {}};
+    // link the youngest older same-address store: one walk back from
+    // the tail, instead of one per issue attempt
+    if (numStores > 0) {
+        for (int cur = idx, n = 0; n < count; n++) {
+            cur = prev(cur);
+            const Entry &s = entries[cur];
+            if (s.isStore && s.addr == wordAddr) {
+                e.sameAddr = {cur, s.seq};
+                break;
+            }
         }
     }
     if (isStore) {
-        e.bucketOlder = bucket;
-        bucket = {idx, e.seq};
         numStores++;
         pendingStores++;
     }
@@ -87,7 +74,7 @@ Lsq::releaseHead(int idx)
         if (!e.completed)
             pendingStores--;
     }
-    // links to it (bucket head included) now read as dead
+    // links to it now read as dead
     e.valid = false;
     head = head + 1 == cfg.numEntries ? 0 : head + 1;
     count--;
@@ -105,9 +92,6 @@ Lsq::squashTail(int n)
             numStores--;
             if (!e.completed)
                 pendingStores--;
-            // youngest first, so the squashed store heads its bucket:
-            // hand the bucket back to the next-older store
-            buckets[bucketOf(e.addr)] = e.bucketOlder;
         }
         e.valid = false;
         count--;

@@ -10,14 +10,14 @@
  * and are released at commit.
  *
  * Both queries follow a same-address chain built at allocation
- * instead of walking the queue: each load links to its youngest older
- * same-address store and each store to its next-older one. Stores
- * reach each other at allocation through a small table of per-bucket
- * store chains (bucket = hashed address). Every link carries the
- * target's allocation sequence number, so a link to a released,
- * squashed or reused slot reads as the end of its chain; since
- * entries leave only from the head (commit) or the tail (squash), a
- * dead link also means every older store on its chain has left.
+ * instead of walking the queue on every issue attempt: allocation
+ * walks back from the tail once, linking each load to its youngest
+ * older same-address store and each store to its next-older one.
+ * Every link carries the target's allocation sequence number, so a
+ * link to a released or reused slot reads as the end of its chain;
+ * since entries leave only from the head (commit) or the tail
+ * (squash), a dead link also means every older store on its chain has
+ * left.
  */
 
 #ifndef SIQ_CPU_LSQ_HH
@@ -97,8 +97,6 @@ class Lsq
         /** Youngest older same-address store (of a load), or next
          *  older same-address store (of a store). */
         Link sameAddr;
-        /** Store only: the next-older store in the same bucket. */
-        Link bucketOlder;
     };
 
     int
@@ -115,20 +113,16 @@ class Lsq
         return e.valid && e.seq == l.seq ? &e : nullptr;
     }
 
-    std::size_t bucketOf(std::uint64_t addr) const;
-
     LsqConfig cfg;
     std::vector<Entry> entries;
-    /** Per bucket: the youngest store whose address hashes there. */
-    std::vector<Link> buckets;
-    unsigned bucketShift = 0;
     std::uint64_t nextSeq = 1;
     int head = 0;
     int tail = 0;
     int count = 0;
     /** Valid store entries / valid not-yet-completed store entries:
-     *  early-outs for the per-issue-candidate chain walks (no stores
-     *  in flight → a load can neither block nor forward). */
+     *  early-outs for the allocation walk and the per-issue-candidate
+     *  chain walks (no stores in flight → a load can neither block
+     *  nor forward). */
     int numStores = 0;
     int pendingStores = 0;
 };

@@ -40,10 +40,8 @@ ExecContext::ExecContext(const Program &prog_)
     : prog(prog_), memWords(prog_.memWords), proc(prog_.entryProc)
 {
     mem.assign(memWords, 0);
-    if (prog.memImage) {
-        for (const auto &[addr, value] : prog.memImage->words())
-            mem[wrap(static_cast<std::int64_t>(addr))] = value;
-    }
+    for (const auto &[addr, value] : prog.memImage->words())
+        mem[wrap(static_cast<std::int64_t>(addr))] = value;
     normalize();
 }
 

@@ -53,11 +53,10 @@ hashImage(const std::vector<MemImage::Word> &words)
 std::uint64_t
 hashContent(const Program &prog)
 {
-    static const std::uint64_t emptyImage = hashImage({});
     WordHasher f;
     f.mix(static_cast<std::uint64_t>(prog.entryProc));
     f.mix(prog.memWords);
-    f.mix(prog.memImage ? prog.memImage->hash() : emptyImage);
+    f.mix(prog.memImage->hash());
     f.mix(prog.procs.size());
     for (const auto &proc : prog.procs) {
         f.mix(proc.blocks.size());
@@ -93,6 +92,14 @@ hashContent(const Program &prog)
 MemImage::MemImage(std::vector<Word> words)
     : _words(std::move(words)), _hash(hashImage(_words))
 {
+}
+
+const std::shared_ptr<const MemImage> &
+MemImage::empty()
+{
+    static const auto image =
+        std::make_shared<const MemImage>(std::vector<Word>{});
+    return image;
 }
 
 std::uint64_t

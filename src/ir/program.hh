@@ -88,6 +88,9 @@ class MemImage
     /** Seal @p words and hash them (once per image). */
     explicit MemImage(std::vector<Word> words);
 
+    /** The one shared empty image: a default Program's. */
+    static const std::shared_ptr<const MemImage> &empty();
+
     const std::vector<Word> &words() const { return _words; }
 
     /** Word-wise hash of the pair count and every (address, value)
@@ -107,8 +110,8 @@ struct Program
     int entryProc = 0;
     /** Data memory size in 8-byte words; addresses wrap modulo this. */
     std::uint64_t memWords = 1 << 16;
-    /** The initial memory image, shared by every copy; null = empty. */
-    std::shared_ptr<const MemImage> memImage;
+    /** The initial memory image, shared by every copy; never null. */
+    std::shared_ptr<const MemImage> memImage = MemImage::empty();
 
     /**
      * Content fingerprint over every field that affects execution

@@ -92,13 +92,6 @@ TEST(ContentHash, EveryImageWordAddressAndMemorySizeCounts)
     auto shorter = image;
     shorter.pop_back();
     EXPECT_NE(imageProgram(256, shorter).contentHash, h);
-
-    // a missing image and an empty one execute alike and hash alike
-    Program bare = imageProgram(256, {});
-    const std::uint64_t empty = bare.contentHash;
-    bare.memImage = nullptr;
-    bare.finalize();
-    EXPECT_EQ(bare.contentHash, empty);
 }
 
 TEST(FuncTrace, LazyChunkedProductionEndsAtHalt)

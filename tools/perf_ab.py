@@ -3,37 +3,41 @@
 
 Usage, from the repository root:
 
-    python3 tools/perf_ab.py --parent HEAD~1 --pairs 10 --seconds 35
+    python3 tools/perf_ab.py --parent HEAD~1 --pairs 10
 
-The parent revision is checked out with `git worktree` into the work
-directory (default `.perf_ab/`), or taken from an existing source tree
-given with --parent-src. Head is this checkout's working tree. Each
-side builds `perfbench/siqbench` from its own sources into its own
-CARGO_TARGET_DIR under the work directory, so the two builds never
-share objects. Then, for every workload, the tool alternates
-`perfbench/run.py` runs of the two sides for N pairs (pair i runs both
-sides with seed `--seed + i`; which side goes first alternates, so a
-slow phase of the host does not always land on one side).
+The parent revision's files are extracted with `git archive` into
+`.perf_ab/parent-src/` (an archive registers nothing in `.git`, so an
+interrupted run leaves nothing to prune). Head is this checkout's
+working tree. Each side builds `perfbench/siqbench` from its own
+sources into its own CARGO_TARGET_DIR under `.perf_ab/`, so the two
+builds never share objects. Then, for every workload of BENCHMARK.json,
+the tool alternates `perfbench/run.py` runs of the two sides for N
+pairs at the benchmark's `run_seconds` (pair i runs both sides with
+seed 1 + i; which side goes first alternates, so a slow phase of the
+host does not always land on one side).
 
 For each workload it prints, per end-to-end metric of BENCHMARK.json:
 the median of head/parent ratios with their min and max, how many
 pairs head won, and whether the median improvement exceeds the
 interquartile range of the parent's runs. It also prints the failed
 and attempted operation counts of each side and whether the grid and
-serve digests of head equal the parent's in every pair. Nothing under
-perfbench/ is changed. --json writes every raw run to a file.
+serve digests of head equal the parent's in every pair. Every raw run
+is written to `.perf_ab/runs.json`. Nothing under perfbench/ is
+changed.
 """
 
 import argparse
 import importlib.util
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / ".perf_ab"
 
 
 def load_build(src: Path, tag: str):
@@ -43,6 +47,19 @@ def load_build(src: Path, tag: str):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod.build
+
+
+def extract(rev: str, dest: Path) -> None:
+    """The files of @p rev, fresh in @p dest."""
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout,
+                   check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
 
 
 def run_once(src: Path, out: Path, workload: str, seed: int,
@@ -114,62 +131,34 @@ def report(workload: str, pairs, metrics) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1",
-                    help="parent revision to check out (default HEAD~1)")
-    ap.add_argument("--parent-src", type=Path,
-                    help="use this existing source tree as the parent "
-                         "instead of a git worktree")
+                    help="parent revision (default HEAD~1)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35)
-    ap.add_argument("--seed", type=int, default=1,
-                    help="seed of the first pair (default 1)")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["sweep_oracle", "sweep_spec", "serve_mixed"])
-    ap.add_argument("--work", type=Path, default=ROOT / ".perf_ab",
-                    help="work directory (default .perf_ab/)")
-    ap.add_argument("--json", type=Path, help="write raw runs here")
     args = ap.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = bench["end_to_end"]
-    work = args.work.resolve()
-    work.mkdir(parents=True, exist_ok=True)
-
-    worktree = None
-    if args.parent_src:
-        parent_src = args.parent_src.resolve()
-    else:
-        worktree = parent_src = work / "parent-src"
-        subprocess.run(["git", "worktree", "add", "--force", "--detach",
-                        str(worktree), args.parent],
-                       cwd=ROOT, check=True, stdout=sys.stderr)
-    sides = {"parent": (parent_src, work / "build-parent"),
-             "head": (ROOT, work / "build-head")}
+    parent_src = WORK / "parent-src"
+    extract(args.parent, parent_src)
+    sides = {"parent": (parent_src, WORK / "build-parent"),
+             "head": (ROOT, WORK / "build-head")}
+    for tag, (src, out) in sides.items():
+        print(f"building {tag} from {src}", file=sys.stderr)
+        load_build(src, tag)(src, out)
     results = {}
-    try:
-        for tag, (src, out) in sides.items():
-            print(f"building {tag} from {src}", file=sys.stderr)
-            load_build(src, tag)(src, out)
-        for wl in args.workloads:
-            pairs = []
-            for i in range(args.pairs):
-                seed = args.seed + i
-                order = ("parent", "head") if i % 2 == 0 else \
-                    ("head", "parent")
-                pair = {"seed": seed}
-                for tag in order:
-                    src, out = sides[tag]
-                    pair[tag] = run_once(src, out, wl, seed, args.seconds)
-                    print(f"{wl} pair {i + 1}/{args.pairs} {tag} done",
-                          file=sys.stderr)
-                pairs.append(pair)
-            results[wl] = pairs
-            report(wl, pairs, metrics)
-    finally:
-        if worktree is not None:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(worktree)], cwd=ROOT, check=False)
-        if args.json:
-            args.json.write_text(json.dumps(results, indent=1))
+    for wl in (w["name"] for w in bench["workloads"]):
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
+            pair = {"seed": 1 + i}
+            for tag in order:
+                src, out = sides[tag]
+                pair[tag] = run_once(src, out, wl, 1 + i,
+                                     bench["run_seconds"])
+                print(f"{wl} pair {i + 1}/{args.pairs} {tag} done",
+                      file=sys.stderr)
+            pairs.append(pair)
+        results[wl] = pairs
+        (WORK / "runs.json").write_text(json.dumps(results, indent=1))
+        report(wl, pairs, bench["end_to_end"])
     return 0
 
 
