@@ -6,14 +6,15 @@
  *  A3 redundant-hint elision on/off (NOOP-count and IPC effect);
  *  A4 the Folegnani&González resizer next to ours and abella.
  *
- * Every ablation variant is a registered technique (sim/technique.hh)
- * swept through one shared ExperimentRunner, so the three-benchmark
- * subset is synthesized once for the whole binary and the cells run
- * in parallel. Run on a subset to keep the binary quick.
+ * Every ablation is a declarative sweep over built-in techniques that
+ * varies one serialized RunConfig field (minHint, core.iq.bankSize,
+ * elideRedundant), all through one shared ExperimentRunner, so the
+ * three-benchmark subset is synthesized once for the whole binary
+ * and the cells run in parallel. Run on a subset to keep the binary
+ * quick.
  */
 
 #include <functional>
-#include <memory>
 
 #include "bench/common.hh"
 
@@ -24,32 +25,9 @@ using namespace siq;
 
 const std::vector<std::string> subset = {"gzip", "vortex", "mcf"};
 
-sim::RunConfig
-quickCfg()
-{
-    sim::RunConfig cfg;
-    cfg.warmupInsts = bench::envOr("SIQSIM_WARMUP", 80000);
-    cfg.measureInsts = bench::envOr("SIQSIM_MEASURE", 250000);
-    return cfg;
-}
-
-/** A noop-scheme variant with one compiler knob changed. */
-sim::TechniqueDef
-noopVariant(const std::string &name, const std::string &summary,
-            const std::function<void(compiler::CompilerConfig &)> &tweak)
-{
-    return {
-        name,
-        sim::Technique::Noop,
-        summary,
-        [tweak](const sim::RunConfig &cfg) {
-            auto cc = *sim::compilerConfigFor(sim::Technique::Noop, cfg);
-            tweak(cc);
-            return std::optional(cc);
-        },
-        nullptr,
-    };
-}
+/** Per-cell budgets: a lighter cut of the figure benches' 120k+400k. */
+constexpr std::uint64_t warmupInsts = 80000;
+constexpr std::uint64_t measureInsts = 250000;
 
 sim::SweepResult
 runSubset(sim::ExperimentRunner &runner,
@@ -59,7 +37,8 @@ runSubset(sim::ExperimentRunner &runner,
     sim::SweepSpec spec;
     spec.benchmarks = subset;
     spec.techniques = techniques;
-    spec.base = quickCfg();
+    spec.base.warmupInsts = warmupInsts;
+    spec.base.measureInsts = measureInsts;
     if (tune)
         tune(spec.base);
     return runner.run(spec);
@@ -72,26 +51,22 @@ clampSweep(sim::ExperimentRunner &runner)
                   "larger floors trade power savings for IPC safety");
 
     const std::vector<int> floors = {4, 8, 12, 16};
-    std::vector<std::unique_ptr<sim::ScopedTechnique>> variants;
-    std::vector<std::string> techniques = {"baseline"};
+    // the floor only changes the noop annotation, so one baseline
+    // sweep serves every floor
+    const auto baseline = runSubset(runner, {"baseline"});
+    std::vector<sim::SweepResult> sweeps;
     for (int floor : floors) {
-        const std::string name =
-            "noop-floor" + std::to_string(floor);
-        variants.push_back(std::make_unique<sim::ScopedTechnique>(
-            noopVariant(name, "noop with minHint floor",
-                        [floor](compiler::CompilerConfig &cc) {
-                            cc.minHint = floor;
-                        })));
-        techniques.push_back(name);
+        sweeps.push_back(runSubset(runner, {"noop"},
+                                   [floor](sim::RunConfig &cfg) {
+                                       cfg.minHint = floor;
+                                   }));
     }
-
-    const auto sweep = runSubset(runner, techniques);
 
     Table t({"benchmark", "floor", "IPC loss", "IQ dyn saving"});
     for (std::size_t b = 0; b < subset.size(); b++) {
-        const auto &base = sweep.at("baseline", b);
+        const auto &base = baseline.at("baseline", b);
         for (std::size_t f = 0; f < floors.size(); f++) {
-            const auto &r = sweep.at(techniques[f + 1], b);
+            const auto &r = sweeps[f].at("noop", b);
             const auto cmp = sim::comparePower(base, r);
             t.addRow({subset[b], std::to_string(floors[f]),
                       Table::pct(bench::ipcLoss(base, r)),
@@ -142,22 +117,17 @@ elisionAblation(sim::ExperimentRunner &runner)
                   "elision removes NOOPs whose value matches the "
                   "incoming range");
 
-    sim::ScopedTechnique noElide(noopVariant(
-        "noop-noelide", "noop without redundant-hint elision",
-        [](compiler::CompilerConfig &cc) {
-            cc.elideRedundant = false;
-        }));
-
-    const auto sweep =
-        runSubset(runner, {"baseline", "noop", "noop-noelide"});
+    const auto on = runSubset(runner, {"baseline", "noop"});
+    const auto off = runSubset(runner, {"noop"}, [](sim::RunConfig &cfg) {
+        cfg.elideRedundant = false;
+    });
 
     Table t({"benchmark", "elide", "hint noops", "IPC loss"});
     for (std::size_t b = 0; b < subset.size(); b++) {
-        const auto &base = sweep.at("baseline", b);
-        for (const char *tech : {"noop", "noop-noelide"}) {
-            const auto &r = sweep.at(tech, b);
-            t.addRow({subset[b],
-                      std::string(tech) == "noop" ? "on" : "off",
+        const auto &base = on.at("baseline", b);
+        for (const auto *sweep : {&on, &off}) {
+            const auto &r = sweep->at("noop", b);
+            t.addRow({subset[b], sweep == &on ? "on" : "off",
                       std::to_string(r.compile.hintNoopsInserted),
                       Table::pct(bench::ipcLoss(base, r))});
         }
@@ -197,8 +167,7 @@ main()
     using namespace siq;
     // one engine for the whole binary: the subset's workloads are
     // synthesized once and reused by all four ablations
-    sim::ExperimentRunner runner(
-        static_cast<int>(bench::envOr("SIQSIM_JOBS", 0)));
+    sim::ExperimentRunner runner;
     clampSweep(runner);
     bankSweep(runner);
     elisionAblation(runner);

@@ -10,17 +10,17 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
-    bench::header("Figure 10: IPC loss, Extension & Improved",
-                  "noop 2.2% -> extension 1.7% -> improved <1.3%; "
-                  "abella 3.1%");
-
-    const auto m = bench::runMatrix(
+    const auto m = bench::loadMatrix(
+        argc, argv,
         {sim::Technique::Baseline, sim::Technique::Noop,
          sim::Technique::Extension, sim::Technique::Improved,
          sim::Technique::Abella});
+    bench::header("Figure 10: IPC loss, Extension & Improved",
+                  "noop 2.2% -> extension 1.7% -> improved <1.3%; "
+                  "abella 3.1%");
 
     Table t({"benchmark", "noop", "extension", "improved", "abella"});
     std::vector<double> n, e, im, a;

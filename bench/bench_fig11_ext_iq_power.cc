@@ -10,15 +10,15 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
-    bench::header("Figure 11: IQ power savings, Extension & Improved",
-                  "both ~45% dynamic / 30% static");
-
-    const auto m = bench::runMatrix(
+    const auto m = bench::loadMatrix(
+        argc, argv,
         {sim::Technique::Baseline, sim::Technique::Extension,
          sim::Technique::Improved});
+    bench::header("Figure 11: IQ power savings, Extension & Improved",
+                  "both ~45% dynamic / 30% static");
 
     Table t({"benchmark", "ext dyn", "ext stat", "imp dyn",
              "imp stat"});

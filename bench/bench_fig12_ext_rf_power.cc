@@ -8,15 +8,15 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
-    bench::header("Figure 12: RF power savings, Extension & Improved",
-                  "extension 21% dyn / 21% stat; improved 22% / 20%");
-
-    const auto m = bench::runMatrix(
+    const auto m = bench::loadMatrix(
+        argc, argv,
         {sim::Technique::Baseline, sim::Technique::Extension,
          sim::Technique::Improved});
+    bench::header("Figure 12: RF power savings, Extension & Improved",
+                  "extension 21% dyn / 21% stat; improved 22% / 20%");
 
     Table t({"benchmark", "ext dyn", "ext stat", "imp dyn",
              "imp stat"});

@@ -7,16 +7,16 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
+    const auto m = bench::loadMatrix(
+        argc, argv,
+        {sim::Technique::Baseline, sim::Technique::Noop,
+         sim::Technique::Abella});
     bench::header("Figure 6: IPC loss, NOOP scheme",
                   "SPECINT avg 2.2% (abella 3.1%); worst vortex 5.4%, "
                   "best mcf 0.4%");
-
-    const auto m = bench::runMatrix({sim::Technique::Baseline,
-                                     sim::Technique::Noop,
-                                     sim::Technique::Abella});
 
     Table t({"benchmark", "base IPC", "noop loss", "abella loss"});
     std::vector<double> noopLoss, abellaLoss;

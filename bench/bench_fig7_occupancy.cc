@@ -7,14 +7,14 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
+    const auto m = bench::loadMatrix(
+        argc, argv,
+        {sim::Technique::Baseline, sim::Technique::Noop});
     bench::header("Figure 7: IQ occupancy reduction, NOOP scheme",
                   "average 23% fewer entries occupied");
-
-    const auto m = bench::runMatrix(
-        {sim::Technique::Baseline, sim::Technique::Noop});
 
     Table t({"benchmark", "base occ", "noop occ", "reduction"});
     std::vector<double> reductions;

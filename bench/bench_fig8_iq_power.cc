@@ -8,18 +8,18 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
+    const auto m = bench::loadMatrix(
+        argc, argv,
+        {sim::Technique::Baseline, sim::Technique::Noop,
+         sim::Technique::Abella});
     bench::header(
         "Figure 8: IQ power savings, NOOP scheme",
         "dynamic 47% / static 31% (abella 39%/30%); nonEmpty gating "
         "alone saves less than the full technique; 37% of banks off "
         "(abella 34%)");
-
-    const auto m = bench::runMatrix({sim::Technique::Baseline,
-                                     sim::Technique::Noop,
-                                     sim::Technique::Abella});
 
     Table t({"benchmark", "noop dyn", "noop stat", "abella dyn",
              "abella stat", "banksOff noop", "banksOff abella"});

@@ -8,16 +8,16 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace siq;
+    const auto m = bench::loadMatrix(
+        argc, argv,
+        {sim::Technique::Baseline, sim::Technique::Noop,
+         sim::Technique::Abella});
     bench::header("Figure 9: integer RF power savings, NOOP scheme",
                   "dynamic 22% / static 21% (abella 14%/17%); 6.8% "
                   "fewer dispatches (abella 5.1%)");
-
-    const auto m = bench::runMatrix({sim::Technique::Baseline,
-                                     sim::Technique::Noop,
-                                     sim::Technique::Abella});
 
     Table t({"benchmark", "noop dyn", "noop stat", "abella dyn",
              "abella stat"});

@@ -8,45 +8,65 @@
  * each scheme's saving survives wrong-path occupancy and squash
  * churn, alongside the speculation rates themselves.
  *
- * Note: both sweeps run through runSweep, so the SIQSIM_JSON/CSV
- * exports (docs/ENVIRONMENT.md) carry the *speculative* matrix (the
- * second sweep overwrites the first).
+ * Usage: bench_mispredict_recovery ORACLE.json SPEC.json — the --json
+ * exports of the same grid run without and with `siqsim spec
+ * --speculative`.
  */
 
 #include "bench/common.hh"
 
-int
-main()
+namespace
 {
-    using namespace siq;
-    bench::header(
-        "Mispredict recovery: IQ savings under a real front end",
-        "extension study — oracle-front-end savings (Figs 8-12) "
-        "re-measured with gshare+BTB+RAS speculation, wrong-path "
-        "fetch and squash recovery");
 
+using namespace siq;
+
+/** Total squashes over a matrix: zero exactly when it ran oracle. */
+std::uint64_t
+squashes(const bench::Matrix &m)
+{
+    std::uint64_t n = 0;
+    for (const auto &cell : m.sweep.cells)
+        n += cell.stats.squashes;
+    return n;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
     const std::vector<sim::Technique> techs = {
         sim::Technique::Baseline,  sim::Technique::Noop,
         sim::Technique::Extension, sim::Technique::Improved,
         sim::Technique::Abella,    sim::Technique::Folegnani};
 
-    auto runMode = [&](bool speculative) {
-        sim::SweepSpec spec;
-        spec.benchmarks = bench::suiteBenchmarks();
-        for (auto tech : techs)
-            spec.techniques.push_back(sim::techniqueName(tech));
-        spec.base = bench::defaultConfig();
-        spec.base.core.specFrontEnd = speculative;
-        bench::Matrix m;
-        m.benches = spec.benchmarks;
-        m.sweep = bench::runSweep(spec);
-        return m;
-    };
+    if (argc != 3) {
+        bench::usage(argv[0], "ORACLE.json SPEC.json (siqsim run "
+                              "--json exports of one grid, without "
+                              "and with --speculative)");
+    }
+    const auto oracle = bench::loadMatrix(argv[1], techs);
+    const auto spec = bench::loadMatrix(argv[2], techs);
+    if (squashes(oracle) != 0)
+        bench::refuse(std::string("'") + argv[1] +
+                      "' squashed wrong-path work: it is a "
+                      "speculative export, not an oracle one");
+    if (squashes(spec) == 0)
+        bench::refuse(std::string("'") + argv[2] +
+                      "' has no squashes: it is an oracle export; "
+                      "make it with siqsim spec --speculative");
+    if (oracle.benches != spec.benches)
+        bench::refuse("the two exports sweep different workloads");
 
-    std::cout << "oracle front end:\n";
-    const auto oracle = runMode(false);
-    std::cout << "speculative front end:\n";
-    const auto spec = runMode(true);
+    bench::header(
+        "Mispredict recovery: IQ savings under a real front end",
+        "extension study — oracle-front-end savings (Figs 8-12) "
+        "re-measured with gshare+BTB+RAS speculation, wrong-path "
+        "fetch and squash recovery");
+    // the mode labels keep the figure's bytes equal to the output of
+    // earlier builds, which printed them before running each sweep
+    std::cout << "oracle front end:\n"
+              << "speculative front end:\n";
     const std::size_t nb = oracle.benches.size();
 
     // suite means per technique, each mode against its own baseline

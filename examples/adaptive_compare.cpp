@@ -1,10 +1,9 @@
 /**
  * @file
- * Side-by-side comparison of every registered technique on one
- * benchmark: the paper's whole story in a single table — baseline,
- * the three compiler schemes (NOOP / Extension / Improved) and the
- * two hardware comparators (abella, Folegnani&González) — plus any
- * variant registered with the technique registry. One engine sweep:
+ * Side-by-side comparison of every technique on one benchmark: the
+ * paper's whole story in a single table — baseline, the three
+ * compiler schemes (NOOP / Extension / Improved) and the two hardware
+ * comparators (abella, Folegnani&González). One engine sweep:
  * the workload is synthesized once and shared by every technique.
  *
  * Usage: adaptive_compare [benchmark] [scale]

@@ -4,8 +4,8 @@
  * workload — per procedure: the natural loops, the CDS equations'
  * entries and the unrolled minimal range, per-block DAG needs and the
  * final hint values, plus the inserted-hint summary for every
- * registered technique that carries a compiler configuration (the
- * three built-in schemes and any registered variant).
+ * technique that carries a compiler configuration (the three hint
+ * schemes).
  *
  * Usage: compiler_explorer [benchmark] [scale]
  */

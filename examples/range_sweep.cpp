@@ -6,21 +6,22 @@
  * to window size — the curve the paper's technique exploits (flat
  * curves mean free power savings; steep curves need accurate hints).
  *
- * Each R is a registered technique variant ("tag-r8", ...), so the
- * whole curve family is one engine sweep: every benchmark program is
- * synthesized once and compiled once per R, and the cells fan out
- * over the worker pool.
+ * The forced window is a compiler-side fiction with no RunConfig
+ * field, so the example annotates each program itself — the Extension
+ * (tag) scheme's config with the pseudo-IQ shrunk to R — and runs it
+ * through simulateProgram under the Extension technique, serially.
  *
  * Usage: range_sweep [benchmark ...]
  */
 
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "common/table.hh"
-#include "sim/sweep.hh"
+#include "compiler/pass.hh"
+#include "sim/simulator.hh"
 #include "sim/technique.hh"
+#include "workloads/workloads.hh"
 
 int
 main(int argc, char **argv)
@@ -34,48 +35,30 @@ main(int argc, char **argv)
 
     const std::vector<int> ranges = {4, 8, 16, 32, 48, 80};
 
-    // register one Tag-scheme variant per forced range
-    std::vector<std::unique_ptr<sim::ScopedTechnique>> variants;
-    sim::SweepSpec spec;
-    spec.benchmarks = benches;
-    spec.techniques = {"baseline"};
-    for (int r : ranges) {
-        const std::string name = "tag-r" + std::to_string(r);
-        variants.push_back(std::make_unique<sim::ScopedTechnique>(
-            sim::TechniqueDef{
-                name,
-                sim::Technique::Extension,
-                "tag hints clamped to a " + std::to_string(r) +
-                    "-entry window",
-                [r](const sim::RunConfig &cfg) {
-                    auto cc = *sim::compilerConfigFor(
-                        sim::Technique::Extension, cfg);
-                    cc.minHint = 1;
-                    cc.machine.iqSize = r; // forces every hint <= r
-                    return std::optional(cc);
-                },
-                nullptr,
-            }));
-        spec.techniques.push_back(name);
-    }
-    spec.base.warmupInsts = 100000;
-    spec.base.measureInsts = 300000;
-
-    sim::ExperimentRunner runner;
-    const auto sweep = runner.run(spec);
+    sim::RunConfig cfg;
+    cfg.warmupInsts = 100000;
+    cfg.measureInsts = 300000;
+    const auto &baseline = sim::techniqueDef(sim::Technique::Baseline);
+    const auto &extension = sim::techniqueDef(sim::Technique::Extension);
 
     std::vector<std::string> headers = {"benchmark", "base IPC"};
     for (int r : ranges)
         headers.push_back("R<=" + std::to_string(r));
     Table t(headers);
 
-    for (std::size_t b = 0; b < benches.size(); b++) {
-        const auto &base = sweep.at("baseline", b);
-        std::vector<std::string> row = {benches[b],
+    for (const auto &bench : benches) {
+        const Program prog = workloads::generate(bench, cfg.workload);
+        const auto base = sim::simulateProgram(prog, baseline, cfg);
+        std::vector<std::string> row = {bench,
                                         Table::fmt(base.ipc(), 3)};
         for (int r : ranges) {
-            const auto &cell =
-                sweep.at("tag-r" + std::to_string(r), b);
+            auto cc = *sim::compilerConfigFor(sim::Technique::Extension,
+                                              cfg);
+            cc.minHint = 1;
+            cc.machine.iqSize = r; // forces every hint <= r
+            Program hinted = prog;
+            compiler::annotate(hinted, cc);
+            const auto cell = sim::simulateProgram(hinted, extension, cfg);
             const double loss = 1.0 - cell.ipc() / base.ipc();
             row.push_back(Table::pct(loss) + "/" +
                           Table::fmt(cell.avgIqOccupancy(), 0));
@@ -83,9 +66,7 @@ main(int argc, char **argv)
         t.addRow(row);
     }
     std::cout << "cells: IPC loss vs baseline / avg occupancy ("
-              << sweep.cells.size() << " runs, "
-              << sweep.cache.workloadBuilds << " workloads built, "
-              << sweep.jobsUsed << " thread(s))\n";
+              << benches.size() * (ranges.size() + 1) << " runs)\n";
     t.print(std::cout);
     return 0;
 }

@@ -10,7 +10,7 @@
  *                      the canonical single-file JSON/CSV
  *   siqsim status ...  report cells done/missing (per shard) for a
  *                      checkpoint run directory
- *   siqsim list        list benchmarks and registered techniques
+ *   siqsim list        list workload families and techniques
  *
  * `run` and `merge` emit *canonical* exports: scheduling and
  * wall-clock metadata are zeroed (sim::canonicalize), so the same
@@ -19,7 +19,6 @@
  * resumed. `diff` is the integrity check.
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -59,17 +58,18 @@ usage:
                                     long-lived simulation daemon (JSONL)
 
 spec options (grid axes and budgets; all optional):
-  --workloads a,b,... | all    workloads to sweep (default: every
-                               registered family). Entries are workload
-                               specs: a family name, optionally with
-                               parameter overrides —
-                               'phased:period=60000:duty=20'
+  --workloads a,b,... | all | specint
+                               workloads to sweep (default: all, every
+                               registered family; specint: the paper's
+                               eleven). Entries are workload specs: a
+                               family name, optionally with parameter
+                               overrides — 'phased:period=60000:duty=20'
                                ('siqsim list' shows families + params;
                                --benchmarks is accepted as an alias)
-  --techniques a,b,... | all   techniques to sweep (default: all built-ins)
+  --techniques a,b,... | all   techniques to sweep (default: all six)
   --warmup N / --measure N     per-cell instruction budgets
   --seeds N                    replicas per cell (0 = SIQSIM_SEEDS, 1 = off)
-  --jobs N                     worker threads (0 = SIQSIM_JOBS / cores)
+  --jobs N                     worker threads (0 = all cores)
   --scale N / --rep-divisor N  workload size knobs
   --seed N                     base workload seed
   --speculative                model the real front end (gshare + BTB +
@@ -80,11 +80,11 @@ spec options (grid axes and budgets; all optional):
 run options:
   --spec FILE                  the spec to run (required)
   --shard i/N                  run only cells with index % N == i
-                               (default $SIQSIM_SHARD; requires --ckpt)
+                               (requires --ckpt)
   --ckpt DIR                   checkpoint run directory: finished cells
                                are published atomically as they finish,
                                and already-checkpointed cells are
-                               skipped on restart (default $SIQSIM_CKPT)
+                               skipped on restart
   --jobs N / --seeds N         override the spec's values
   --json/--csv/--power-csv FILE   canonical exports ('-' = stdout)
   --baseline NAME              power-CSV baseline technique [baseline]
@@ -319,7 +319,9 @@ cmdSpec(Args args)
               "pass only one");
     if (!workloadsOpt)
         workloadsOpt = benchmarksOpt;
-    if (workloadsOpt && *workloadsOpt != "all")
+    if (workloadsOpt && *workloadsOpt == "specint")
+        spec.benchmarks = workloads::benchmarkNames();
+    else if (workloadsOpt && *workloadsOpt != "all")
         spec.benchmarks = splitList(*workloadsOpt);
     if (auto v = args.option("techniques"); v && *v != "all")
         spec.techniques = splitList(*v);
@@ -373,18 +375,8 @@ cmdRun(Args args)
     if (auto v = args.option("seeds"))
         spec.seeds = static_cast<int>(toLong("seeds", *v));
 
-    auto envOpt = [](const char *name) -> std::optional<std::string> {
-        const char *v = std::getenv(name);
-        if (v == nullptr || *v == '\0')
-            return std::nullopt;
-        return std::string(v);
-    };
-    auto shardText = args.option("shard");
-    if (!shardText)
-        shardText = envOpt("SIQSIM_SHARD");
-    auto ckptDir = args.option("ckpt");
-    if (!ckptDir)
-        ckptDir = envOpt("SIQSIM_CKPT");
+    const auto shardText = args.option("shard");
+    const auto ckptDir = args.option("ckpt");
 
     ExportPaths exports;
     exports.take(args);

@@ -82,10 +82,10 @@ void writePowerCsv(std::ostream &os, const SweepResult &result,
  * DESIGN.md §10). readSpecJson also accepts plain string entries
  * ("phased:period=60000") in hand-written specs.
  *
- * Two fields do not serialize, by design: `base.tech` (sweeps ignore
- * it — the technique axis decides what runs) and the `perCell`
- * override (a function; specs that need per-cell overrides are bound
- * to the binary that defines them, see DESIGN.md §8.1).
+ * One field does not serialize, by design: `base.tech` (sweeps
+ * ignore it — the technique axis decides what runs). Every other
+ * field does, so the JSON describes the sweep completely and any
+ * spec runs under `siqsim run` (DESIGN.md §8.1).
  */
 void writeSpecJson(std::ostream &os, const SweepSpec &spec);
 
@@ -94,8 +94,8 @@ void writeSpecJson(std::ostream &os, const SweepSpec &spec);
 std::string toJson(const SweepSpec &spec);
 
 /** Parse writeSpecJson output. Every serialized field round-trips
- *  bit-exactly; `perCell` comes back null. Fatal on malformed
- *  input or unknown technique names. */
+ *  bit-exactly. Fatal on malformed input or unknown technique
+ *  names. */
 SweepSpec readSpecJson(std::istream &is);
 
 /** Build a SweepSpec from an already-parsed JSON tree (the serve

@@ -33,10 +33,10 @@ enum class Technique
     Folegnani, ///< hardware adaptive resizer (ablation A4)
 };
 
-/** Human-readable technique name (also its registry key). */
+/** Human-readable technique name (also its table key). */
 std::string techniqueName(Technique tech);
 
-struct TechniqueDef; // the registry entry type (sim/technique.hh)
+struct TechniqueDef; // the table entry type (sim/technique.hh)
 
 /** One experiment's parameters. */
 struct RunConfig
@@ -118,7 +118,7 @@ struct RunResult
 };
 
 /** Map a technique to its compiler configuration, if it has one
- *  (delegates to the registry entry's factory). */
+ *  (delegates to the table entry's factory). */
 std::optional<compiler::CompilerConfig>
 compilerConfigFor(Technique tech, const RunConfig &cfg);
 
@@ -141,13 +141,11 @@ RunResult simulateProgram(const Program &prog, const TechniqueDef &def,
                           const RunConfig &cfg,
                           FuncTrace *trace = nullptr);
 
-/** Run one benchmark under one built-in technique (cfg.tech). */
+/** Run one benchmark under the technique cfg.tech. */
 RunResult runOne(const std::string &benchmark, const RunConfig &cfg);
 
-/**
- * Run one benchmark under any registered technique (built-in or a
- * bench/example-registered variant). Fatal on unknown names.
- */
+/** Run one benchmark under a technique named in sim/technique.hh's
+ *  table. Fatal on unknown names. */
 RunResult runOne(const std::string &benchmark,
                  const std::string &technique, const RunConfig &cfg);
 

@@ -463,11 +463,8 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
             try {
                 RunConfig cfg = spec.base;
                 cfg.tech = defs[key.techIdx]->tag;
-                if (spec.perCell)
-                    spec.perCell(cfg, key);
-                // decorrelate replicas after the override, so
-                // per-cell seed choices replicate too; replica 0
-                // keeps the configured seed (seeds=1 == status quo)
+                // decorrelate replicas; replica 0 keeps the
+                // configured seed (seeds=1 == status quo)
                 if (key.rep > 0) {
                     cfg.workload.seed = mixSeed(cfg.workload.seed,
                                                 key.rep, 0);

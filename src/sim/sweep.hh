@@ -59,15 +59,12 @@
 namespace siq::sim
 {
 
-/** Identity of one sweep cell, passed to the per-cell override. */
+/** Identity of one sweep cell (CellHooks::onCellDone). */
 struct CellKey
 {
     std::size_t benchIdx = 0;
     std::size_t techIdx = 0;
-    /** Replica index, 0 .. seeds-1 (0 when unreplicated). The
-     *  override sees it for labelling only; workload-seed mixing
-     *  happens after the override so per-cell seed choices still get
-     *  decorrelated replicas. */
+    /** Replica index, 0 .. seeds-1 (0 when unreplicated). */
     std::size_t rep = 0;
     std::string benchmark;
     std::string technique;
@@ -86,17 +83,11 @@ struct SweepSpec
      * cells, cache keys and exports carry.
      */
     std::vector<std::string> benchmarks;
-    /** Registry technique names (built-ins or registered variants). */
+    /** Technique names (sim/technique.hh). */
     std::vector<std::string> techniques;
-    /** Config every cell starts from (tech field is ignored). */
+    /** Config every cell runs (tech field is ignored). Compiler
+     *  knobs and machine changes split the caches by design. */
     RunConfig base;
-    /**
-     * Optional per-cell override, applied after the base config is
-     * copied. Must be deterministic in the key (it runs on worker
-     * threads, possibly concurrently). Note that overrides changing
-     * workload params or compiler knobs split the caches by design.
-     */
-    std::function<void(RunConfig &, const CellKey &)> perCell;
     /** Worker threads; 0 defers to the runner's constructor default
      *  (which in turn defaults to hardware concurrency). */
     int jobs = 0;

@@ -1,9 +1,6 @@
 #include "sim/technique.hh"
 
-#include <mutex>
-#include <utility>
-
-#include "common/logging.hh"
+#include <array>
 
 namespace siq::sim
 {
@@ -26,196 +23,87 @@ baseCompilerConfig(const RunConfig &cfg)
     return cc;
 }
 
-std::vector<TechniqueDef>
-builtinDefs()
+/** A compiler-scheme entry's factory. */
+std::function<std::optional<compiler::CompilerConfig>(const RunConfig &)>
+hintScheme(compiler::HintScheme scheme, bool interprocFu)
 {
-    std::vector<TechniqueDef> defs;
+    return [scheme, interprocFu](const RunConfig &cfg) {
+        auto cc = baseCompilerConfig(cfg);
+        cc.scheme = scheme;
+        cc.interprocFu = interprocFu;
+        return std::optional(cc);
+    };
+}
 
-    defs.push_back({
-        "baseline",
-        Technique::Baseline,
-        "fixed 80-entry IQ, no resizing",
-        nullptr,
-        nullptr,
-    });
-
-    defs.push_back({
-        "noop",
-        Technique::Noop,
-        "compiler hints via special NOOPs (paper §5.2)",
-        [](const RunConfig &cfg) {
-            auto cc = baseCompilerConfig(cfg);
-            cc.scheme = compiler::HintScheme::Noop;
-            return std::optional(cc);
-        },
-        nullptr,
-    });
-
-    defs.push_back({
-        "extension",
-        Technique::Extension,
-        "compiler hints via instruction tags (paper §5.3)",
-        [](const RunConfig &cfg) {
-            auto cc = baseCompilerConfig(cfg);
-            cc.scheme = compiler::HintScheme::Tag;
-            return std::optional(cc);
-        },
-        nullptr,
-    });
-
-    defs.push_back({
-        "improved",
-        Technique::Improved,
-        "Extension + inter-procedural FU analysis (paper §5.3)",
-        [](const RunConfig &cfg) {
-            auto cc = baseCompilerConfig(cfg);
-            cc.scheme = compiler::HintScheme::Tag;
-            cc.interprocFu = true;
-            return std::optional(cc);
-        },
-        nullptr,
-    });
-
-    defs.push_back({
-        "abella",
-        Technique::Abella,
-        "hardware adaptive IqRob64 comparator",
-        nullptr,
-        [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
-            AbellaConfig ac = cfg.abella;
-            ac.iqSize = cfg.core.iq.numEntries;
-            ac.robSize = cfg.core.robSize;
-            return std::make_unique<AbellaResizer>(ac);
-        },
-    });
-
-    defs.push_back({
-        "folegnani",
-        Technique::Folegnani,
-        "hardware adaptive resizer (ablation A4)",
-        nullptr,
-        [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
-            FolegnaniConfig fc = cfg.folegnani;
-            fc.iqSize = cfg.core.iq.numEntries;
-            return std::make_unique<FolegnaniResizer>(fc);
-        },
-    });
-
+/** The table, indexed by Technique. */
+const std::array<TechniqueDef, 6> &
+table()
+{
+    static const std::array<TechniqueDef, 6> defs = {{
+        {"baseline", Technique::Baseline,
+         "fixed 80-entry IQ, no resizing", nullptr, nullptr},
+        {"noop", Technique::Noop,
+         "compiler hints via special NOOPs (paper §5.2)",
+         hintScheme(compiler::HintScheme::Noop, false), nullptr},
+        {"extension", Technique::Extension,
+         "compiler hints via instruction tags (paper §5.3)",
+         hintScheme(compiler::HintScheme::Tag, false), nullptr},
+        {"improved", Technique::Improved,
+         "Extension + inter-procedural FU analysis (paper §5.3)",
+         hintScheme(compiler::HintScheme::Tag, true), nullptr},
+        {"abella", Technique::Abella,
+         "hardware adaptive IqRob64 comparator", nullptr,
+         [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
+             AbellaConfig ac = cfg.abella;
+             ac.iqSize = cfg.core.iq.numEntries;
+             ac.robSize = cfg.core.robSize;
+             return std::make_unique<AbellaResizer>(ac);
+         }},
+        {"folegnani", Technique::Folegnani,
+         "hardware adaptive resizer (ablation A4)", nullptr,
+         [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
+             FolegnaniConfig fc = cfg.folegnani;
+             fc.iqSize = cfg.core.iq.numEntries;
+             return std::make_unique<FolegnaniResizer>(fc);
+         }},
+    }};
     return defs;
 }
 
 } // namespace
 
-struct TechniqueRegistry::Impl
-{
-    mutable std::mutex mu;
-    /** unique_ptr entries so find() results survive vector growth. */
-    std::vector<std::unique_ptr<TechniqueDef>> defs;
-};
-
-TechniqueRegistry::TechniqueRegistry() : impl(std::make_shared<Impl>())
-{
-    for (auto &def : builtinDefs())
-        impl->defs.push_back(
-            std::make_unique<TechniqueDef>(std::move(def)));
-}
-
-TechniqueRegistry &
-TechniqueRegistry::instance()
-{
-    static TechniqueRegistry registry;
-    return registry;
-}
-
-void
-TechniqueRegistry::add(TechniqueDef def)
-{
-    // names flow into CSV cells and JSON strings verbatim: keep them
-    // token-like so the report round-trip guarantee holds
-    if (def.name.empty())
-        fatal("technique name must not be empty");
-    for (char c : def.name) {
-        if (c == ',' || c == '"' || c == '\\' ||
-            static_cast<unsigned char>(c) < 0x20)
-            fatal("technique name '", def.name,
-                  "' contains a character that would break "
-                  "CSV/JSON export");
-    }
-
-    std::lock_guard lock(impl->mu);
-    for (const auto &d : impl->defs) {
-        if (d->name == def.name)
-            fatal("technique '", def.name, "' already registered");
-    }
-    impl->defs.push_back(
-        std::make_unique<TechniqueDef>(std::move(def)));
-}
-
-bool
-TechniqueRegistry::remove(const std::string &name)
-{
-    std::lock_guard lock(impl->mu);
-    for (auto it = impl->defs.begin(); it != impl->defs.end(); ++it) {
-        if ((*it)->name == name) {
-            impl->defs.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
-const TechniqueDef *
-TechniqueRegistry::find(const std::string &name) const
-{
-    std::lock_guard lock(impl->mu);
-    for (const auto &d : impl->defs) {
-        if (d->name == name)
-            return d.get();
-    }
-    return nullptr;
-}
-
-std::vector<std::string>
-TechniqueRegistry::names() const
-{
-    std::lock_guard lock(impl->mu);
-    std::vector<std::string> out;
-    out.reserve(impl->defs.size());
-    for (const auto &d : impl->defs)
-        out.push_back(d->name);
-    return out;
-}
-
 const TechniqueDef &
 techniqueDef(Technique tech)
 {
-    const TechniqueDef *def =
-        TechniqueRegistry::instance().find(techniqueName(tech));
-    SIQ_ASSERT(def != nullptr, "builtin technique missing from registry");
-    return *def;
+    return table()[static_cast<std::size_t>(tech)];
 }
 
 const TechniqueDef *
 findTechnique(const std::string &name)
 {
-    return TechniqueRegistry::instance().find(name);
+    for (const auto &def : table()) {
+        if (def.name == name)
+            return &def;
+    }
+    return nullptr;
 }
 
 std::optional<Technique>
 techniqueFromName(const std::string &name)
 {
-    // a registry entry whose name is its own family name is a
-    // builtin; variants ("noop-floor8") carry a tag but are not one
     const TechniqueDef *def = findTechnique(name);
-    if (def != nullptr && techniqueName(def->tag) == name)
-        return def->tag;
-    return std::nullopt;
+    if (def == nullptr)
+        return std::nullopt;
+    return def->tag;
 }
 
 std::vector<std::string>
 techniqueNames()
 {
-    return TechniqueRegistry::instance().names();
+    std::vector<std::string> out;
+    for (const auto &def : table())
+        out.push_back(def.name);
+    return out;
 }
 
 } // namespace siq::sim

@@ -1,19 +1,18 @@
 /**
  * @file
- * The technique registry: every way of driving the machine — the
- * paper's three compiler schemes, the two hardware comparators, the
- * do-nothing baseline, and any ablation variant a bench or example
- * wants — is a named entry mapping to the two things a run needs:
- * an optional compiler configuration (how the program is annotated
- * before simulation) and an optional adaptive-resizer factory (the
- * IqLimitController handed to the core).
+ * The technique table: the six ways of driving the machine — the
+ * paper's three compiler schemes, the two hardware comparators and
+ * the do-nothing baseline — each a named entry mapping to the two
+ * things a run needs: an optional compiler configuration (how the
+ * program is annotated before simulation) and an optional
+ * adaptive-resizer factory (the IqLimitController handed to the core).
  *
- * The built-in six register in one place (technique.cc); benches and
- * examples register ablation variants ("noop-floor8", "tag-r16", ...)
- * at startup and sweep over them exactly like built-ins. The registry
- * is the single source of truth: simulator.cc's runOne and the sweep
- * engine both resolve techniques here, so a registered variant behaves
- * identically under serial and threaded execution.
+ * The table is fixed (technique.cc). Knob studies such as hint floors
+ * or elision are not extra techniques: they vary the serialized
+ * RunConfig fields the factories read (minHint, elideRedundant,
+ * core.iq.*), so every sweep is fully described by its spec JSON.
+ * simulator.cc's runOne and the sweep engine both resolve techniques
+ * here, so serial and threaded execution configure a cell alike.
  */
 
 #ifndef SIQ_SIM_TECHNIQUE_HH
@@ -31,16 +30,12 @@
 namespace siq::sim
 {
 
-/** One registered technique. */
+/** One technique-table entry. */
 struct TechniqueDef
 {
-    /** Registry key; also what RunResult::technique reports. */
+    /** Table key; also what RunResult::technique reports. */
     std::string name;
-    /**
-     * Which built-in family the entry behaves like (used for
-     * RunResult::tech so existing figure code keys results the same
-     * way for variants as for the original).
-     */
+    /** The enum value of the entry (RunResult::tech). */
     Technique tag = Technique::Baseline;
     /** One-line description for listings. */
     std::string summary;
@@ -59,72 +54,17 @@ struct TechniqueDef
         controller;
 };
 
-/** Name → TechniqueDef table. Thread-safe; built-ins pre-registered. */
-class TechniqueRegistry
-{
-  public:
-    /** The process-wide registry (created on first use). */
-    static TechniqueRegistry &instance();
-
-    /** Register a technique. @param def must carry a unique name;
-     *  duplicates are fatal. */
-    void add(TechniqueDef def);
-
-    /** Remove a registered technique. @return true if it existed. */
-    bool remove(const std::string &name);
-
-    /** Look up by name; nullptr when absent. The returned pointer
-     *  stays valid until the entry is removed. */
-    const TechniqueDef *find(const std::string &name) const;
-
-    /** All registered names, in registration order. */
-    std::vector<std::string> names() const;
-
-  private:
-    TechniqueRegistry();
-    struct Impl;
-    std::shared_ptr<Impl> impl;
-};
-
-/** The built-in definition for an enum technique. */
+/** The table entry for an enum technique. */
 const TechniqueDef &techniqueDef(Technique tech);
 
-/** Registry lookup by name; nullptr when absent. */
+/** Table lookup by name; nullptr when absent. */
 const TechniqueDef *findTechnique(const std::string &name);
 
-/** Map a name back to its built-in enum, if it is one. */
+/** Map a name back to its enum, if it names a technique. */
 std::optional<Technique> techniqueFromName(const std::string &name);
 
-/** All registered technique names (built-ins first). */
+/** Every technique name, in enum order. */
 std::vector<std::string> techniqueNames();
-
-/**
- * RAII registration for bench/example-local ablation variants: the
- * variant is sweepable exactly like a built-in for the scope's
- * lifetime and unregistered on destruction. Note that registered
- * variants exist only in the defining process — a serialized spec
- * naming one cannot run under `siqsim` (DESIGN.md §8.1).
- */
-class ScopedTechnique
-{
-  public:
-    /** @param def the variant to register (fatal on name clash). */
-    explicit ScopedTechnique(TechniqueDef def) : name(def.name)
-    {
-        TechniqueRegistry::instance().add(std::move(def));
-    }
-
-    ~ScopedTechnique()
-    {
-        TechniqueRegistry::instance().remove(name);
-    }
-
-    ScopedTechnique(const ScopedTechnique &) = delete;
-    ScopedTechnique &operator=(const ScopedTechnique &) = delete;
-
-  private:
-    std::string name;
-};
 
 } // namespace siq::sim
 

@@ -171,7 +171,6 @@ TEST(SpecJson, ExactRoundTrip)
     EXPECT_EQ(back.base.core.mem.l2.name, spec.base.core.mem.l2.name);
     EXPECT_EQ(back.base.abella.stallFractionToGrow,
               spec.base.abella.stallFractionToGrow);
-    EXPECT_FALSE(back.perCell);
     // re-serialization is the full-field equality check: every
     // serialized field is byte-identical through the round trip
     EXPECT_EQ(sim::toJson(back), sim::toJson(spec));

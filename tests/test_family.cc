@@ -316,8 +316,8 @@ TEST(FamilySweep, NewFamiliesRunUnderAllSixTechniques)
 
 TEST(FamilyRegistry, ScopedFamilyRegistersAndUnregisters)
 {
-    // process-local families behave exactly like built-ins (and like
-    // sim::ScopedTechnique variants) for the scope's lifetime
+    // process-local families behave exactly like built-ins for the
+    // scope's lifetime
     ASSERT_EQ(workloads::findFamily("gzip-x2"), nullptr);
     {
         workloads::FamilyDef def;

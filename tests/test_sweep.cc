@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the experiment engine: the technique registry, the
+ * Tests for the experiment engine: the technique table, the
  * threaded sweep runner's determinism (bit-identical to serial
  * runOne), exact cache accounting, and JSON/CSV round-tripping.
  */
@@ -215,43 +215,74 @@ TEST(TechniqueRegistry, FactoriesMatchLegacyMapping)
     sim::RunConfig cfg;
     EXPECT_FALSE(
         sim::compilerConfigFor(Technique::Baseline, cfg).has_value());
+    EXPECT_FALSE(
+        sim::compilerConfigFor(Technique::Abella, cfg).has_value());
     const auto noop = sim::compilerConfigFor(Technique::Noop, cfg);
     ASSERT_TRUE(noop.has_value());
     EXPECT_EQ(noop->scheme, compiler::HintScheme::Noop);
     EXPECT_FALSE(noop->interprocFu);
+    const auto ext = sim::compilerConfigFor(Technique::Extension, cfg);
+    ASSERT_TRUE(ext.has_value());
+    EXPECT_EQ(ext->scheme, compiler::HintScheme::Tag);
+    EXPECT_FALSE(ext->interprocFu);
     const auto improved =
         sim::compilerConfigFor(Technique::Improved, cfg);
     ASSERT_TRUE(improved.has_value());
     EXPECT_EQ(improved->scheme, compiler::HintScheme::Tag);
     EXPECT_TRUE(improved->interprocFu);
-}
 
-TEST(TechniqueRegistry, ScopedVariantRegistersAndUnregisters)
-{
-    {
-        sim::ScopedTechnique variant({
-            "noop-floor16",
-            Technique::Noop,
-            "noop scheme with a 16-entry hint floor",
-            [](const sim::RunConfig &cfg) {
-                auto cc = *sim::compilerConfigFor(Technique::Noop, cfg);
-                cc.minHint = 16;
-                return std::optional(cc);
-            },
-            nullptr,
-        });
-        ASSERT_NE(sim::findTechnique("noop-floor16"), nullptr);
-
-        sim::RunConfig cfg;
-        cfg.workload.repDivisor = 40;
-        cfg.warmupInsts = 2000;
-        cfg.measureInsts = 20000;
-        const auto r = sim::runOne("gzip", "noop-floor16", cfg);
-        EXPECT_EQ(r.technique, "noop-floor16");
-        EXPECT_EQ(r.tech, Technique::Noop);
-        EXPECT_GT(r.ipc(), 0.0);
+    // every compiler knob and the machine mirror reach all three
+    // hint schemes: the ablations sweep these RunConfig fields
+    // instead of registering technique variants
+    cfg.minHint = 16;
+    cfg.elideRedundant = false;
+    cfg.unrollFactor = 7;
+    cfg.core.issueWidth = 4;
+    cfg.core.iq.numEntries = 48;
+    cfg.core.fuCounts[static_cast<int>(FuClass::IntAlu)] = 3;
+    cfg.core.mem.l1d.hitLatency = 5;
+    for (auto tech :
+         {Technique::Noop, Technique::Extension, Technique::Improved}) {
+        const auto cc = sim::compilerConfigFor(tech, cfg);
+        ASSERT_TRUE(cc.has_value()) << sim::techniqueName(tech);
+        EXPECT_EQ(cc->minHint, 16);
+        EXPECT_FALSE(cc->elideRedundant);
+        EXPECT_EQ(cc->unrollFactor, 7);
+        EXPECT_EQ(cc->machine.issueWidth, 4);
+        EXPECT_EQ(cc->machine.iqSize, 48);
+        EXPECT_EQ(cc->machine.fuCounts, cfg.core.fuCounts);
+        EXPECT_EQ(cc->machine.l1dHitLatency, 5);
     }
-    EXPECT_EQ(sim::findTechnique("noop-floor16"), nullptr);
+
+    // a noop sweep with base.minHint = 16 is the old "noop-floor16"
+    // variant: annotate with the default config's cc, floor raised
+    sim::SweepSpec spec;
+    spec.benchmarks = {"vortex"};
+    spec.techniques = {"noop"};
+    spec.base.workload.repDivisor = 40;
+    spec.base.warmupInsts = 2000;
+    spec.base.measureInsts = 20000;
+    spec.seeds = 1;
+    const sim::RunConfig defaults = spec.base;
+    spec.base.minHint = 16;
+    sim::ExperimentRunner runner(1);
+    const auto floored = runner.run(spec).cells.at(0);
+
+    Program prog = workloads::generate("vortex", defaults.workload);
+    auto cc = *sim::compilerConfigFor(Technique::Noop, defaults);
+    cc.minHint = 16;
+    const auto compile = compiler::annotate(prog, cc);
+    const auto direct = sim::simulateProgram(
+        prog, sim::techniqueDef(Technique::Noop), defaults);
+    EXPECT_EQ(floored.stats, direct.stats);
+    EXPECT_EQ(floored.iq, direct.iq);
+    EXPECT_EQ(floored.compile.hintNoopsInserted,
+              compile.hintNoopsInserted);
+
+    spec.base.minHint = defaults.minHint;
+    const auto plain = runner.run(spec).cells.at(0);
+    EXPECT_FALSE(plain.stats == direct.stats && plain.iq == direct.iq)
+        << "a 16-entry hint floor should change the noop cell";
 }
 
 TEST(ExperimentRunner, ThreadedIsBitIdenticalToSerial)
@@ -323,23 +354,6 @@ TEST(ExperimentRunner, WorkloadsAreBuiltExactlyOnce)
         EXPECT_TRUE(sim::identicalMeasurement(sweep.cells[i],
                                               again.cells[i]));
     }
-}
-
-TEST(ExperimentRunner, PerCellOverridesApply)
-{
-    auto spec = smallSpec();
-    spec.benchmarks = {"gzip"};
-    spec.techniques = {"baseline"};
-    spec.perCell = [](sim::RunConfig &cfg, const sim::CellKey &key) {
-        EXPECT_EQ(key.benchmark, "gzip");
-        EXPECT_EQ(key.technique, "baseline");
-        cfg.measureInsts = 30000;
-    };
-    sim::ExperimentRunner runner;
-    const auto sweep = runner.run(spec);
-    ASSERT_EQ(sweep.cells.size(), 1u);
-    EXPECT_GE(sweep.cells[0].stats.committed, 29000u);
-    EXPECT_LT(sweep.cells[0].stats.committed, 45000u);
 }
 
 TEST(ExperimentRunner, UnknownTechniqueIsFatal)
