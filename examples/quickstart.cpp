@@ -65,17 +65,6 @@ main(int argc, char **argv)
               << Table::pct(power.rfStaticSaving) << '\n';
     std::cout << "(nonEmpty gating alone would save "
               << Table::pct(power.nonEmptySaving) << " dynamic)\n";
-    if (sweep.seeds > 1) {
-        // SIQSIM_SEEDS=N ran each cell over N decorrelated workloads
-        const auto &aggBase = sweep.aggAt("baseline", 0);
-        const auto &aggNoop = sweep.aggAt("noop", 0);
-        std::cout << "replicated IPC (n=" << sweep.seeds
-                  << " seeds): baseline "
-                  << Table::fmt(aggBase.ipc.mean, 3) << " +/- "
-                  << Table::fmt(aggBase.ipc.ci95, 3) << ", noop "
-                  << Table::fmt(aggNoop.ipc.mean, 3) << " +/- "
-                  << Table::fmt(aggNoop.ipc.ci95, 3) << " (ci95)\n";
-    }
     std::cout << "engine: " << sweep.cells.size() << " cells, "
               << sweep.jobsUsed << " thread(s), workload built "
               << sweep.cache.workloadBuilds << "x\n";

@@ -64,11 +64,11 @@ spec options (grid axes and budgets; all optional):
                                eleven). Entries are workload specs: a
                                family name, optionally with parameter
                                overrides — 'phased:period=60000:duty=20'
-                               ('siqsim list' shows families + params;
-                               --benchmarks is accepted as an alias)
+                               ('siqsim list' shows families + params)
   --techniques a,b,... | all   techniques to sweep (default: all six)
   --warmup N / --measure N     per-cell instruction budgets
-  --seeds N                    replicas per cell (0 = SIQSIM_SEEDS, 1 = off)
+  --seeds N                    replicas per cell, N >= 1 (default 1 = off;
+                               N > 1 adds mean/stddev/ci95 aggregates)
   --jobs N                     worker threads (0 = all cores)
   --scale N / --rep-divisor N  workload size knobs
   --seed N                     base workload seed
@@ -111,15 +111,14 @@ serve options (protocol: DESIGN.md §13):
                                connection is an independent client
   --stdio                      serve one client over stdin/stdout
                                (tests, inetd-style supervisors)
-  --jobs N                     default worker threads per request
-                               (0 = SIQSIM_SERVE_JOBS / cores)
+  --jobs N                     worker threads per request (0 = cores)
   requests:  {"id":"r1","spec":{...}}   {"cancel":"r1"}
   responses: accepted / cell / done / error records, one per line;
   workload, compiled-program and trace caches are shared across
-  requests, and identical in-flight cells from concurrent clients
-  are simulated once. Env: SIQSIM_SERVE_QUEUE (per-client record
-  queue, default 256), SIQSIM_SERVE_RESULT_CACHE (completed-cell
-  LRU, default 1024), SIQSIM_SERVE_JOBS.
+  requests, identical in-flight cells from concurrent clients are
+  simulated once, and the last 1024 completed cells are answered
+  without simulating. Each request's spec states its own replica
+  count ("seeds" >= 1).
 
 The merge of N shard directories is byte-identical to the same spec
 run unsharded — both are canonical exports of the same pure function.
@@ -209,6 +208,16 @@ toU64(const std::string &name, const std::string &value)
     if (v < 0)
         fatal("siqsim: --", name, " must be >= 0, got '", value, "'");
     return static_cast<std::uint64_t>(v);
+}
+
+/** --seeds: refused below 1, as a spec's "seeds" is. */
+int
+toSeeds(const std::string &value)
+{
+    const long v = toLong("seeds", value);
+    if (v < 1)
+        fatal("siqsim: --seeds must be >= 1, got '", value, "'");
+    return static_cast<int>(v);
 }
 
 std::vector<std::string>
@@ -310,15 +319,7 @@ cmdSpec(Args args)
     sim::SweepSpec spec;
     spec.benchmarks = workloads::familyNames();
     spec.techniques = sim::techniqueNames();
-    // --workloads is the primary spelling; --benchmarks is kept as a
-    // compatibility alias (both accept workload specs, not just names)
-    auto workloadsOpt = args.option("workloads");
-    auto benchmarksOpt = args.option("benchmarks");
-    if (workloadsOpt && benchmarksOpt)
-        fatal("siqsim: --workloads and --benchmarks are aliases; "
-              "pass only one");
-    if (!workloadsOpt)
-        workloadsOpt = benchmarksOpt;
+    const auto workloadsOpt = args.option("workloads");
     if (workloadsOpt && *workloadsOpt == "specint")
         spec.benchmarks = workloads::benchmarkNames();
     else if (workloadsOpt && *workloadsOpt != "all")
@@ -339,7 +340,7 @@ cmdSpec(Args args)
     if (auto v = args.option("measure"))
         spec.base.measureInsts = toU64("measure", *v);
     if (auto v = args.option("seeds"))
-        spec.seeds = static_cast<int>(toLong("seeds", *v));
+        spec.seeds = toSeeds(*v);
     if (auto v = args.option("jobs"))
         spec.jobs = static_cast<int>(toLong("jobs", *v));
     if (auto v = args.option("scale"))
@@ -373,7 +374,7 @@ cmdRun(Args args)
     if (auto v = args.option("jobs"))
         spec.jobs = static_cast<int>(toLong("jobs", *v));
     if (auto v = args.option("seeds"))
-        spec.seeds = static_cast<int>(toLong("seeds", *v));
+        spec.seeds = toSeeds(*v);
 
     const auto shardText = args.option("shard");
     const auto ckptDir = args.option("ckpt");
@@ -587,13 +588,11 @@ cmdServe(Args args)
         fatal("serve: pass exactly one of --socket PATH or --stdio");
     }
 
-    auto opts = sim::ServeEngine::optionsFromEnv();
-    if (!opts)
-        fatal(opts.error());
+    sim::ServeEngine::Options opts;
     if (jobs)
-        opts.value().jobs = static_cast<int>(toLong("jobs", *jobs));
+        opts.jobs = static_cast<int>(toLong("jobs", *jobs));
 
-    sim::ServeEngine engine(opts.value());
+    sim::ServeEngine engine(opts);
     if (stdio) {
         sim::serveStdio(engine, std::cin, std::cout);
         return 0;

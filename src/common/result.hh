@@ -10,11 +10,10 @@
  * (sim/serve.hh) parses untrusted request bytes on its own threads,
  * and an error there must become an *error record on one client's
  * stream*, never a process exit and never an aborted sibling request.
- * The ingestion boundary — spec JSON parsing, workload-spec
- * validation, environment knobs — therefore exposes Result-returning
- * entry points (tryReadSpecJson, WorkloadSpec::tryParse, the
- * parse*Env helpers); the historical fatal()-style wrappers remain as
- * one-liners on top for callers that want fail-fast behaviour.
+ * The ingestion boundary — spec JSON parsing, which validates the
+ * workload specs it carries — therefore exposes Result-returning
+ * entry points (trySpecFromJson, tryReadSpecJson) built with
+ * asResult over the fail-fast parsers the CLI calls directly.
  */
 
 #ifndef SIQ_COMMON_RESULT_HH

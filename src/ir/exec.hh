@@ -75,10 +75,9 @@ class ExecContext
             r >= fpRegBase ? r - fpRegBase : r)];
     }
     std::int64_t readMem(std::uint64_t wordAddr) const;
-    /** Current position (proc, block, instIdx). */
+    /** Current position (proc, block). */
     int curProc() const { return proc; }
     int curBlock() const { return block; }
-    int curInst() const { return instIdx; }
     std::uint64_t callDepth() const { return stack.size(); }
     /// @}
 

@@ -49,15 +49,6 @@ class Cache
     std::uint64_t accesses() const { return _accesses.value(); }
     std::uint64_t misses() const { return _misses.value(); }
 
-    double
-    missRate() const
-    {
-        return _accesses.value()
-                   ? static_cast<double>(_misses.value()) /
-                         static_cast<double>(_accesses.value())
-                   : 0.0;
-    }
-
     void resetStats();
 
   private:

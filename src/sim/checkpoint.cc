@@ -260,6 +260,10 @@ initRunDir(const fs::path &dir, const SweepSpec &spec)
     if (cellCount(spec) == 0)
         fatal("checkpoint: refusing to init a run dir for an empty "
               "matrix");
+    // spec.json must stay readable: readSpecJson refuses seeds < 1
+    if (spec.seeds < 1)
+        fatal("checkpoint: seeds must be >= 1 (--seeds N), got ",
+              spec.seeds);
     std::error_code ec;
     fs::create_directories(cellsDir(dir), ec);
     if (ec) {
@@ -405,7 +409,8 @@ mergeCheckpoints(const std::vector<fs::path> &dirs)
     std::vector<fs::path> sources(ncells);
     std::vector<std::size_t> missing;
     std::vector<bool> have(ncells, false);
-    int seeds = 0;
+    if (spec.seeds > 1)
+        result.aggregates.resize(ncells);
     for (std::size_t i = 0; i < ncells; i++) {
         const std::string name = checkpointFileName(spec, i);
         for (const auto &dir : dirs) {
@@ -417,9 +422,13 @@ mergeCheckpoints(const std::vector<fs::path> &dirs)
                 fatal("merge: '", path.string(), "' carries index ",
                       ckpt.index, ", expected ", i);
             }
+            if (ckpt.seeds != spec.seeds) {
+                fatal("merge: '", path.string(), "' ran with seeds=",
+                      ckpt.seeds, " but spec.json says seeds=",
+                      spec.seeds);
+            }
             if (have[i]) {
                 const bool same =
-                    ckpt.seeds == seeds &&
                     identicalMeasurement(ckpt.cell, result.cells[i]) &&
                     (ckpt.seeds == 1 ||
                      ckpt.aggregate == result.aggregates[i]);
@@ -430,19 +439,8 @@ mergeCheckpoints(const std::vector<fs::path> &dirs)
                 }
                 continue;
             }
-            if (seeds == 0) {
-                seeds = ckpt.seeds;
-            } else if (ckpt.seeds != seeds) {
-                fatal("merge: cell ", i, " ran with seeds=",
-                      ckpt.seeds, " but earlier cells ran with seeds=",
-                      seeds,
-                      " — shards must agree on the replica count");
-            }
-            if (ckpt.seeds > 1) {
-                if (result.aggregates.empty())
-                    result.aggregates.resize(ncells);
+            if (ckpt.seeds > 1)
                 result.aggregates[i] = ckpt.aggregate;
-            }
             result.cells[i] = std::move(ckpt.cell);
             sources[i] = path;
             have[i] = true;
@@ -458,7 +456,7 @@ mergeCheckpoints(const std::vector<fs::path> &dirs)
               " cells have no checkpoint (first missing: ", os.str(),
               ") — run the remaining shards before merging");
     }
-    result.seeds = seeds;
+    result.seeds = spec.seeds;
     return result;
 }
 

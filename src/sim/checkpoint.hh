@@ -116,12 +116,12 @@ readCacheStatsFiles(const std::filesystem::path &dir);
  * cell of the spec must be checkpointed in exactly one directory, or
  * in several with identical measurements (wall-clock fields may
  * differ — re-running a pure cell reproduces its measurements, not
- * its timing); missing cells and measurement-conflicting duplicates
- * are fatal. Scheduling metadata (jobsUsed,
- * wallSeconds, cache) is meaningless for a merged result and left
- * zeroed; cells keep their checkpointed measurements, so
- * canonicalize() + writeJson/writeCsv of a merged result is
- * byte-identical to the unsharded run's canonical export.
+ * its timing); missing cells, measurement-conflicting duplicates
+ * and cells whose seeds differ from spec.json's are fatal.
+ * Scheduling metadata (jobsUsed, wallSeconds, cache) is meaningless
+ * for a merged result and left zeroed; cells keep their checkpointed
+ * measurements, so canonicalize() + writeJson/writeCsv of a merged
+ * result is byte-identical to the unsharded run's canonical export.
  */
 SweepResult
 mergeCheckpoints(const std::vector<std::filesystem::path> &dirs);

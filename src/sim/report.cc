@@ -630,8 +630,9 @@ specFromJson(const json::Value &root)
         spec.techniques.push_back(t.asString());
     spec.jobs = root.at("jobs").asInt();
     spec.seeds = root.at("seeds").asInt();
-    if (spec.seeds < 0)
-        fatal("spec JSON: seeds must be >= 0, got ", spec.seeds);
+    if (spec.seeds < 1)
+        fatal("spec JSON: seeds must be >= 1 (--seeds N), got ",
+              spec.seeds);
     readValue(root.at("base"), spec.base);
     for (const auto &t : spec.techniques) {
         if (findTechnique(t) == nullptr)

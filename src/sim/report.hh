@@ -94,8 +94,8 @@ void writeSpecJson(std::ostream &os, const SweepSpec &spec);
 std::string toJson(const SweepSpec &spec);
 
 /** Parse writeSpecJson output. Every serialized field round-trips
- *  bit-exactly. Fatal on malformed input or unknown technique
- *  names. */
+ *  bit-exactly. Fatal on malformed input, seeds below 1, or unknown
+ *  technique names. */
 SweepSpec readSpecJson(std::istream &is);
 
 /** Build a SweepSpec from an already-parsed JSON tree (the serve
@@ -109,8 +109,7 @@ Result<SweepSpec> trySpecFromJson(const json::Value &root);
 
 /** Recoverable readSpecJson over an in-memory document: malformed
  *  JSON, schema violations, unknown techniques, and bad workload
- *  specs all come back as an error Result. The entry point for
- *  untrusted per-request bytes (sim/serve.cc). */
+ *  specs all come back as an error Result. */
 Result<SweepSpec> tryReadSpecJson(const std::string &text);
 
 /// @}

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <istream>
@@ -217,7 +216,7 @@ struct Request
     };
 
     std::string id;
-    SweepSpec spec; ///< canonical benchmarks, resolved seeds
+    SweepSpec spec; ///< canonical benchmarks
     std::shared_ptr<ServeEngine::Client::State> client;
 
     std::atomic<bool> cancelled{false};
@@ -264,7 +263,6 @@ struct ServeEngine::Impl
 
     const Options opts;
     ExperimentRunner runner;
-    int defaultSeeds = 1; ///< resolved SIQSIM_SEEDS, set at startup
 
     /** guards `inflight` + the completed-cell LRU + every Flight's
      *  waiter list */
@@ -356,8 +354,8 @@ struct ServeEngine::Impl
     // ------------------------------------------------- dedupe store
 
     /** The canonical identity of one cell: the spec JSON of its own
-     *  1×1 sub-grid, jobs forced to 0, seeds resolved. Two requests
-     *  agree on this string iff the cell is the same simulation. */
+     *  1×1 sub-grid, jobs forced to 0. Two requests agree on this
+     *  string iff the cell is the same simulation. */
     static std::string
     cellIdentity(const SweepSpec &spec, std::size_t cellIdx)
     {
@@ -763,9 +761,6 @@ struct ServeEngine::Impl
                       "spec has an empty benchmark or technique axis");
             return;
         }
-        if (s.seeds == 0)
-            s.seeds = defaultSeeds; // pin the resolved replica count
-                                    // into the cell identity
 
         auto req = std::make_shared<Request>();
         req->id = id.value();
@@ -814,61 +809,9 @@ struct ServeEngine::Impl
 
 // ---------------------------------------------------- engine surface
 
-Result<ServeEngine::Options>
-ServeEngine::optionsFromEnv()
-{
-    Options opts;
-    const auto readSize = [](const char *name, std::size_t fallback,
-                             std::size_t min) -> Result<std::size_t> {
-        const char *v = std::getenv(name);
-        if (v == nullptr)
-            return Result<std::size_t>::ok(fallback);
-        char *end = nullptr;
-        errno = 0;
-        const long long n = std::strtoll(v, &end, 10);
-        if (end == v || *end != '\0' || errno == ERANGE || n < 0 ||
-            static_cast<unsigned long long>(n) < min) {
-            return Result<std::size_t>::error(
-                std::string(name) + " must be an integer >= " +
-                std::to_string(min) + ", got '" + v + "'");
-        }
-        return Result<std::size_t>::ok(static_cast<std::size_t>(n));
-    };
-
-    auto jobs = readSize("SIQSIM_SERVE_JOBS", 0, 0);
-    if (!jobs)
-        return Result<Options>::error(jobs.error());
-    opts.jobs = static_cast<int>(jobs.value());
-
-    auto queue = readSize("SIQSIM_SERVE_QUEUE", 256, 1);
-    if (!queue)
-        return Result<Options>::error(queue.error());
-    opts.queueCap = queue.value();
-
-    auto cache = readSize("SIQSIM_SERVE_RESULT_CACHE", 1024, 0);
-    if (!cache)
-        return Result<Options>::error(cache.error());
-    opts.resultCacheCap = cache.value();
-
-    auto fanout = readSize("SIQSIM_SERVE_FANOUT_MS", 10000, 0);
-    if (!fanout)
-        return Result<Options>::error(fanout.error());
-    opts.fanoutWaitMs = fanout.value();
-
-    // the runner reads these lazily mid-request; surface a malformed
-    // environment at startup instead
-    if (auto seeds = trySeedsFromEnv(); !seeds)
-        return Result<Options>::error(seeds.error());
-    if (auto cap = tryTraceCapBytesFromEnv(); !cap)
-        return Result<Options>::error(cap.error());
-
-    return Result<Options>::ok(opts);
-}
-
 ServeEngine::ServeEngine(const Options &opts)
     : impl(std::make_shared<Impl>(opts))
 {
-    impl->defaultSeeds = trySeedsFromEnv().orFatal();
 }
 
 ServeEngine::~ServeEngine() = default;

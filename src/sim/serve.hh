@@ -32,20 +32,20 @@
  * export, byte-identical to `siqsim run --json` of the same spec.
  *
  * Cross-request dedupe: every cell has a canonical identity — the
- * spec JSON of its own 1×1 sub-grid with jobs forced to 0 and seeds
- * resolved — and the engine keeps (a) an in-flight table mapping
- * identities to the request currently simulating them and (b) a
- * bounded LRU of completed cell payloads. A request whose cell is
- * already in flight attaches as a waiter and receives the fan-out of
- * the one simulation; a cell in the completed cache is answered
- * immediately without simulating. Counters in the done record prove
- * which path each cell took.
+ * spec JSON of its own 1×1 sub-grid with jobs forced to 0 — and the
+ * engine keeps (a) an in-flight table mapping identities to the
+ * request currently simulating them and (b) a bounded LRU of
+ * completed cell payloads. A request whose cell is already in flight
+ * attaches as a waiter and receives the fan-out of the one
+ * simulation; a cell in the completed cache is answered immediately
+ * without simulating. Counters in the done record prove which path
+ * each cell took.
  *
- * Malformed requests — bad JSON, schema violations, unknown
- * workloads/techniques, duplicate ids — produce an error record on
- * the offending client's stream and nothing else: ingestion runs
- * through the recoverable Result-based entry points (tryReadSpecJson
- * and friends), so one tenant's garbage never unwinds another
+ * Malformed requests — bad JSON, schema violations (seeds below 1
+ * included), unknown workloads/techniques, duplicate ids — produce an
+ * error record on the offending client's stream and nothing else:
+ * ingestion runs through the recoverable Result-based entry point
+ * (trySpecFromJson), so one tenant's garbage never unwinds another
  * tenant's run.
  *
  * Backpressure: each client owns a bounded record queue. A request's
@@ -72,7 +72,6 @@
 #include <memory>
 #include <string>
 
-#include "common/result.hh"
 #include "sim/sweep.hh"
 
 namespace siq::sim
@@ -99,14 +98,9 @@ class ServeEngine
         std::size_t fanoutWaitMs = 10000;
     };
 
-    /** Options from SIQSIM_SERVE_JOBS / SIQSIM_SERVE_QUEUE /
-     *  SIQSIM_SERVE_RESULT_CACHE / SIQSIM_SERVE_FANOUT_MS
-     *  (validated up front — a daemon
-     *  should refuse a malformed environment at startup, not die on
-     *  request one). Also validates the engine-level knobs the
-     *  runner reads lazily (SIQSIM_SEEDS, SIQSIM_TRACE_CACHE_MB). */
-    static Result<Options> optionsFromEnv();
-
+    /** Fatal on a malformed SIQSIM_TRACE_CACHE_MB: the shared
+     *  runner reads it here, so a daemon refuses a bad environment
+     *  at startup rather than on request one. */
     explicit ServeEngine(const Options &opts);
     ~ServeEngine();
 

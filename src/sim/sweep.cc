@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <future>
 #include <mutex>
 #include <sstream>
@@ -123,16 +122,22 @@ class ProgramCache
         map;
 };
 
+/** SIQSIM_TRACE_CACHE_MB caps the trace cache: default 512 MiB,
+ *  0 = unbounded. Read once per runner, so a malformed value stops a
+ *  CLI run or a serve daemon at startup, before any cell runs. */
 std::uint64_t
 traceCapBytesFromEnv()
 {
-    return tryTraceCapBytesFromEnv().orFatal();
-}
-
-int
-seedsFromEnv()
-{
-    return trySeedsFromEnv().orFatal();
+    const char *v = std::getenv("SIQSIM_TRACE_CACHE_MB");
+    if (v == nullptr)
+        return 512ull << 20;
+    char *end = nullptr;
+    errno = 0;
+    const long long n = std::strtoll(v, &end, 10);
+    if (end == v || *end != '\0' || errno == ERANGE || n < 0)
+        fatal("SIQSIM_TRACE_CACHE_MB must be a non-negative integer, "
+              "got '", v, "'");
+    return static_cast<std::uint64_t>(n) << 20;
 }
 
 MetricAggregate
@@ -175,40 +180,6 @@ aggregateReplicas(const RunResult *reps, std::size_t n)
 }
 
 } // namespace
-
-Result<std::uint64_t>
-tryTraceCapBytesFromEnv()
-{
-    const char *v = std::getenv("SIQSIM_TRACE_CACHE_MB");
-    if (v == nullptr)
-        return Result<std::uint64_t>::ok(512ull << 20);
-    char *end = nullptr;
-    errno = 0;
-    const long long n = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || n < 0)
-        return Result<std::uint64_t>::error(
-            "SIQSIM_TRACE_CACHE_MB must be a non-negative integer, "
-            "got '" + std::string(v) + "'");
-    return Result<std::uint64_t>::ok(static_cast<std::uint64_t>(n)
-                                     << 20);
-}
-
-Result<int>
-trySeedsFromEnv()
-{
-    const char *v = std::getenv("SIQSIM_SEEDS");
-    if (v == nullptr)
-        return Result<int>::ok(1);
-    char *end = nullptr;
-    errno = 0;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || n < 1 ||
-        n > std::numeric_limits<int>::max())
-        return Result<int>::error(
-            "SIQSIM_SEEDS must be a positive integer, got '" +
-            std::string(v) + "'");
-    return Result<int>::ok(static_cast<int>(n));
-}
 
 struct ExperimentRunner::Impl
 {
@@ -352,10 +323,9 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
     const std::size_t nb = spec.benchmarks.size();
     const std::size_t nt = spec.techniques.size();
     const std::size_t ncells = nb * nt;
-    if (spec.seeds < 0)
-        fatal("SweepSpec::seeds must be >= 0, got ", spec.seeds);
-    const int seeds = spec.seeds > 0 ? spec.seeds : seedsFromEnv();
-    result.seeds = seeds;
+    if (spec.seeds < 1)
+        fatal("sweep: seeds must be >= 1 (--seeds N), got ", spec.seeds);
+    result.seeds = spec.seeds;
 
     // the cells this invocation actually executes (all of them for a
     // plain run; a shard / resume passes a filter). The filter is
@@ -369,7 +339,7 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
     }
 
     const std::size_t nrun = cellsToRun.size();
-    const std::size_t nreps = static_cast<std::size_t>(seeds);
+    const std::size_t nreps = static_cast<std::size_t>(spec.seeds);
     result.cells.resize(ncells);
     if (nreps > 1)
         result.aggregates.resize(ncells);
@@ -464,7 +434,7 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
                 RunConfig cfg = spec.base;
                 cfg.tech = defs[key.techIdx]->tag;
                 // decorrelate replicas; replica 0 keeps the
-                // configured seed (seeds=1 == status quo)
+                // configured seed (seeds=1 == unreplicated)
                 if (key.rep > 0) {
                     cfg.workload.seed = mixSeed(cfg.workload.seed,
                                                 key.rep, 0);

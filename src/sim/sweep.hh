@@ -52,7 +52,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.hh"
 #include "sim/fields.hh"
 #include "sim/simulator.hh"
 
@@ -97,11 +96,10 @@ struct SweepSpec
      * mixSeed(seed, r, 0). Replica seeds depend only on the replica
      * index, so a given replica sees the same workload program under
      * every technique (paired comparisons, one workload cache entry
-     * shared across techniques). 1 = no replication (current
-     * behaviour, bit-identical); 0 defers to the SIQSIM_SEEDS
-     * environment variable (default 1).
+     * shared across techniques). 1 = no replication; run() refuses
+     * values below 1.
      */
-    int seeds = 0;
+    int seeds = 1;
 };
 
 /** Exact cache accounting for one or more run() calls. */
@@ -293,23 +291,6 @@ class ExperimentRunner
  * the same cell.
  */
 bool identicalMeasurement(const RunResult &a, const RunResult &b);
-
-/// @name Environment knobs (recoverable parsers).
-/// Internally the engine reads these via fatal()-style wrappers; a
-/// long-lived host (sim/serve.cc) validates them up front with these
-/// so a malformed environment is reported once at startup rather
-/// than unwinding out of a tenant's run.
-/// @{
-
-/** SIQSIM_TRACE_CACHE_MB caps the trace cache; default 512 MiB, 0 =
- *  unbounded. Error on non-integer or negative values. */
-Result<std::uint64_t> tryTraceCapBytesFromEnv();
-
-/** SIQSIM_SEEDS for specs that defer (seeds == 0); default 1. Error
- *  on non-positive or malformed values. */
-Result<int> trySeedsFromEnv();
-
-/// @}
 
 } // namespace siq::sim
 

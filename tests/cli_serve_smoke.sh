@@ -76,10 +76,10 @@ assert recs[0]["id"] is None, recs
 s.close()
 EOF
 
-"$SIQSIM" spec --benchmarks gzip,mcf --techniques baseline,noop \
+"$SIQSIM" spec --workloads gzip,mcf --techniques baseline,noop \
     --warmup 2000 --measure 10000 --rep-divisor 40 --seeds 2 \
     --out specA.json
-"$SIQSIM" spec --benchmarks gzip --techniques baseline \
+"$SIQSIM" spec --workloads gzip --techniques baseline \
     --warmup 2000 --measure 10000 --rep-divisor 40 --seeds 2 \
     --out specB.json
 

@@ -11,7 +11,7 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/siqsim_smoke.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
-"$SIQSIM" spec --benchmarks gzip,mcf --techniques baseline,noop \
+"$SIQSIM" spec --workloads gzip,mcf --techniques baseline,noop \
     --warmup 2000 --measure 10000 --rep-divisor 40 --seeds 2 \
     --out spec.json
 
@@ -62,7 +62,7 @@ grep -q "resumed 1, simulated 1" resume.log
 cmp unsharded.json resumed.json
 
 # a different spec must be rejected by the run directory
-"$SIQSIM" spec --benchmarks gzip --techniques baseline --out other.json
+"$SIQSIM" spec --workloads gzip --techniques baseline --out other.json
 if "$SIQSIM" run --spec other.json --ckpt ckpt 2> mismatch.log; then
     echo "expected spec mismatch to fail" >&2
     exit 1

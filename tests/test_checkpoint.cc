@@ -408,6 +408,20 @@ TEST(Checkpoint, MismatchedSpecIsFatal)
                  FatalError);
 }
 
+TEST(Checkpoint, SeedsBelowOneLeaveNoRunDir)
+{
+    // spec.json with seeds 0 could never be read back (readSpecJson
+    // refuses it), so it must not be written in the first place
+    auto spec = tinySpec();
+    spec.seeds = 0;
+    ScratchDir scratch("seedless");
+    sim::ExperimentRunner runner;
+    EXPECT_THROW(sim::runWithCheckpoints(runner, spec, {0, 1},
+                                         scratch.path),
+                 FatalError);
+    EXPECT_FALSE(fs::exists(scratch.path / "spec.json"));
+}
+
 TEST(Checkpoint, JobsAreSchedulingNotIdentity)
 {
     auto spec = tinySpec();
@@ -474,6 +488,20 @@ TEST(Checkpoint, CorruptOrConflictingCheckpointsAreFatal)
     again.run(spec, hooks);
     EXPECT_THROW(sim::mergeCheckpoints({scratch.path, copy.path}),
                  FatalError);
+
+    // a cell that ran with a replica count other than spec.json's
+    // belongs to a different experiment: the healed dir merges, the
+    // same dir with one cell rewritten as unreplicated does not
+    ASSERT_NO_THROW(sim::mergeCheckpoints({scratch.path}));
+    const fs::path cell0 =
+        scratch.path / "cells" / sim::checkpointFileName(spec, 0);
+    std::ostringstream text;
+    text << std::ifstream(cell0).rdbuf();
+    sim::CellCheckpoint single = sim::cellCheckpointFromJson(text.str());
+    ASSERT_EQ(single.seeds, spec.seeds);
+    single.seeds = 1;
+    sim::writeCellCheckpoint(scratch.path, spec, single);
+    EXPECT_THROW(sim::mergeCheckpoints({scratch.path}), FatalError);
 }
 
 TEST(Checkpoint, TruncatedCheckpointIsReRunNotMerged)

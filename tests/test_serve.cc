@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -147,33 +148,52 @@ TEST(Serve, MalformedRequestsRecoverPerClient)
     client->submitLine(
         "{\"id\":\"rx\",\"spec\":{\"benchmarks\":[\"nosuch\"],"
         "\"techniques\":[\"baseline\"]}}");
+    // a spec must state its replica count: "seeds":0 is refused
+    auto seedless = baseSpec({"gzip"});
+    seedless.seeds = 0;
+    client->submitLine(requestLine("rs", seedless));
     // the same client's next request must still run to completion
     const auto spec = baseSpec({"gzip"});
     client->submitLine(requestLine("r1", spec));
     client->endOfInput();
 
     const auto recs = drain(*client);
-    ASSERT_EQ(recs.size(), 7u);
-    for (int i = 0; i < 4; i++)
+    ASSERT_EQ(recs.size(), 8u);
+    for (int i = 0; i < 5; i++)
         EXPECT_EQ(eventOf(recs[i]), "error") << i;
     // unattributable garbage carries a null id
     EXPECT_EQ(field(recs[0], "id").kind, json::Value::Kind::Null);
     EXPECT_EQ(field(recs[3], "id").asString(), "rx");
+    EXPECT_EQ(field(recs[4], "id").asString(), "rs");
+    EXPECT_NE(field(recs[4], "error").asString().find("--seeds"),
+              std::string::npos);
 
-    EXPECT_EQ(eventOf(recs[4]), "accepted");
-    EXPECT_EQ(field(recs[4], "cells").asU64(), 1u);
-    EXPECT_EQ(eventOf(recs[5]), "cell");
-    EXPECT_EQ(eventOf(recs[6]), "done");
-    EXPECT_EQ(field(recs[6], "cellsSimulated").asU64(), 1u);
-    EXPECT_EQ(field(recs[6], "cancelled").asBool(), false);
+    EXPECT_EQ(eventOf(recs[5]), "accepted");
+    EXPECT_EQ(field(recs[5], "id").asString(), "r1");
+    EXPECT_EQ(field(recs[5], "cells").asU64(), 1u);
+    EXPECT_EQ(eventOf(recs[6]), "cell");
+    EXPECT_EQ(eventOf(recs[7]), "done");
+    EXPECT_EQ(field(recs[7], "cellsSimulated").asU64(), 1u);
+    EXPECT_EQ(field(recs[7], "cancelled").asBool(), false);
 
     // the streamed export is byte-identical to a batch run
     sim::ExperimentRunner plain;
-    EXPECT_EQ(field(recs[6], "export").asString(),
+    EXPECT_EQ(field(recs[7], "export").asString(),
               jsonOf(plain.run(spec)));
 
-    EXPECT_EQ(engine.stats().errors, 4u);
+    EXPECT_EQ(engine.stats().errors, 5u);
     EXPECT_EQ(engine.stats().requests, 1u);
+}
+
+/** The trace-cache cap is the one environment setting the engine
+ *  reads; a malformed value stops a daemon at construction, before it
+ *  accepts a request. */
+TEST(Serve, MalformedTraceCapRefusedAtConstruction)
+{
+    ASSERT_EQ(setenv("SIQSIM_TRACE_CACHE_MB", "abc", 1), 0);
+    EXPECT_THROW(sim::ServeEngine engine({}), FatalError);
+    ASSERT_EQ(unsetenv("SIQSIM_TRACE_CACHE_MB"), 0);
+    sim::ServeEngine engine({}); // the default cap constructs
 }
 
 TEST(Serve, DuplicateIdIsRejectedWhileInFlight)

@@ -40,7 +40,6 @@ smallSpec()
     spec.base.workload.repDivisor = 8;
     spec.base.warmupInsts = 5000;
     spec.base.measureInsts = 60000;
-    spec.seeds = 1; // independent of any ambient SIQSIM_SEEDS
     return spec;
 }
 
@@ -467,28 +466,30 @@ TEST(Replication, JsonExportByteIdenticalAcrossJobsAtSeeds3)
         << "jobs=1 and jobs=4 must export byte-identical JSON";
 }
 
-TEST(Replication, SeedsZeroDefersToEnvironment)
+/** A replica count below 1 names no experiment: the runner and the
+ *  spec parser both refuse it, pointing at --seeds. */
+TEST(Replication, SeedsBelowOneAreRefused)
 {
-    auto spec = smallSpec();
-    spec.benchmarks = {"gzip"};
-    spec.techniques = {"baseline"};
-    spec.base.workload.repDivisor = 40;
-    spec.base.warmupInsts = 2000;
-    spec.base.measureInsts = 20000;
-    spec.seeds = 0;
+    for (const int seeds : {0, -1}) {
+        auto spec = smallSpec();
+        spec.seeds = seeds;
+        sim::ExperimentRunner runner;
+        try {
+            runner.run(spec);
+            ADD_FAILURE() << "run() accepted seeds=" << seeds;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--seeds"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(runner.cacheStats().workloadBuilds, 0u)
+            << "refused before any cell ran";
 
-    ASSERT_EQ(setenv("SIQSIM_SEEDS", "2", 1), 0);
-    sim::ExperimentRunner runner;
-    const auto sweep = runner.run(spec);
-    ASSERT_EQ(unsetenv("SIQSIM_SEEDS"), 0);
-    EXPECT_EQ(sweep.seeds, 2);
-    ASSERT_EQ(sweep.aggregates.size(), 1u);
-    EXPECT_EQ(sweep.aggregates[0].n, 2u);
-
-    sim::ExperimentRunner plain;
-    const auto unset = plain.run(spec);
-    EXPECT_EQ(unset.seeds, 1);
-    EXPECT_TRUE(unset.aggregates.empty());
+        const auto parsed = sim::tryReadSpecJson(sim::toJson(spec));
+        ASSERT_FALSE(parsed) << "spec JSON accepted seeds=" << seeds;
+        EXPECT_NE(parsed.error().find("--seeds"), std::string::npos)
+            << parsed.error();
+    }
 }
 
 /** The trace-replay grid: every built-in technique over structurally
