@@ -155,8 +155,8 @@ Core::sourceHandle(int archReg, bool &ready) const
 }
 
 void
-Core::predictControl(DynInst &di, std::uint64_t actualNext,
-                     std::uint64_t rasPush)
+Core::predictControl(DynInst &di, const PcEntry &e,
+                     std::uint64_t actualNext)
 {
     const StaticInst &si = *di.si;
     const auto &t = si.traits();
@@ -178,9 +178,7 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
             if (cfg.specFrontEnd) {
                 // direct branches resolve both targets at decode, so
                 // the wrong path is the other static arm
-                const PcEntry *e = pcs->find(pc);
-                SIQ_ASSERT(e != nullptr, "fetched PC not in the table");
-                wpStart = di.taken ? e->seqPc : e->takenPc;
+                wpStart = di.taken ? e.seqPc : e.takenPc;
             }
         } else if (di.taken && btbTarget != actualNext) {
             // right direction, target resolved at decode
@@ -195,7 +193,7 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
             frontRedirect = true;
         _bpred.btbUpdate(pc, actualNext);
         if (si.op == Opcode::Call)
-            _bpred.rasPush(rasPush);
+            _bpred.rasPush(e.rasPushPc);
     } else if (si.op == Opcode::Ret) {
         const std::uint64_t predicted = _bpred.rasPop();
         if (predicted != actualNext && !di.halted) {
@@ -566,21 +564,21 @@ Core::fetchStage()
         // the next record, without consuming it: an icache miss ends
         // the fetch group before it is fetched
         const TraceRecord &rec = stream.at(streamIdx);
-        if (!icacheHit(rec.si->pc))
+        const PcEntry &e = pcs->at(rec.entry());
+        if (!icacheHit(e.si->pc))
             break;
         streamIdx++;
         DynInst &di = claimFetchSlot();
-        di.si = rec.si;
-        const auto &t = rec.si->traits();
-        // aux is the load/store address or the call's RAS push PC
+        di.si = e.si;
+        const auto &t = e.si->traits();
+        // aux is the load/store address or a Ret/IJump's next PC
         di.memAddr = t.isLoad || t.isStore ? rec.aux : 0;
-        di.taken = (rec.flags & traceFlagTaken) != 0;
-        di.halted = (rec.flags & traceFlagHalted) != 0;
+        di.taken = rec.taken();
+        di.halted = rec.halted();
         streamHalted = di.halted;
 
         const std::uint64_t resumeBefore = fetchResumeCycle;
-        predictControl(di, rec.nextPc,
-                       rec.si->op == Opcode::Call ? rec.aux : 0);
+        predictControl(di, e, recordNextPc(rec, e));
         const bool redirected = fetchResumeCycle != resumeBefore;
         const bool taken = di.taken || t.isJump;
         _stats.fetched++;

@@ -439,8 +439,11 @@ class Core
      */
     void maybeFastForward();
 
-    void predictControl(DynInst &di, std::uint64_t actualNextPc,
-                        std::uint64_t rasPushPc);
+    /** Train the predictor on fetched instruction @p di (PcTable
+     *  entry @p e, resolved successor @p actualNextPc) and detect a
+     *  mispredict or front-end redirect. */
+    void predictControl(DynInst &di, const PcEntry &e,
+                        std::uint64_t actualNextPc);
 
     /// @name Speculative front end (cfg.specFrontEnd; DESIGN.md §14).
     /// @{
@@ -539,8 +542,8 @@ class Core
     bool coreHalted = false;
 
     /** The program's predecoded layout, owned by the trace (shared
-     *  by every core replaying it): wrong-path fetch and mispredict
-     *  targets resolve against it. */
+     *  by every core replaying it): trace records, wrong-path fetch
+     *  and mispredict targets resolve against it. */
     const PcTable *pcs = nullptr;
     /** A mispredicted branch is in flight; fetch follows wpPc. */
     bool wpActive = false;

@@ -47,8 +47,7 @@ std::uint32_t
 to32(std::uint64_t v)
 {
     SIQ_ASSERT(v <= std::numeric_limits<std::uint32_t>::max(),
-               "program PCs or memory size exceed the PC table's "
-               "32-bit fields");
+               "program PCs exceed the PC table's 32-bit fields");
     return static_cast<std::uint32_t>(v);
 }
 
@@ -56,6 +55,13 @@ to32(std::uint64_t v)
 
 PcTable::PcTable(const Program &prog)
 {
+    // trace records and wrong-path addresses hold word addresses in
+    // 32 bits
+    SIQ_ASSERT(prog.memWords <= 1ull << 32, "memory of ", prog.memWords,
+               " words exceeds the trace's 32-bit addresses");
+    // distinct 4-byte-aligned 32-bit PCs number at most 2^30, so an
+    // entry index fits above a record's flag bits
+    static_assert(traceFlagBits <= 2);
     entries.reserve(prog.instCount());
     for (std::size_t p = 0; p < prog.procs.size(); p++) {
         const Procedure &proc = prog.procs[p];
@@ -80,8 +86,8 @@ PcTable::PcTable(const Program &prog)
                     e.takenPc = to32(blockStartPc(prog, si.target, 0));
                     e.rasPushPc = to32(fallthroughPc);
                 }
-                e.wrongPathAddr =
-                    to32(wrongPathAddrOf(si.pc, prog.memWords));
+                e.wrongPathAddr = static_cast<std::uint32_t>(
+                    wrongPathAddrOf(si.pc, prog.memWords));
 
                 const std::uint64_t page = si.pc >> pageShift;
                 if (entries.empty()) {
@@ -105,7 +111,8 @@ PcTable::PcTable(const Program &prog)
 }
 
 FuncTrace::FuncTrace(std::shared_ptr<const Program> prog)
-    : _prog(std::move(prog)), _pcs(*_prog), exec(*_prog)
+    : _prog(std::move(prog)), _pcs(*_prog), exec(*_prog),
+      _bytes(_prog->memWords * sizeof(std::int64_t) + _pcs.bytes())
 {
 }
 
@@ -145,19 +152,16 @@ FuncTrace::produceTo(std::uint64_t idx)
         const StepResult sr = exec.step();
         TraceRecord &rec =
             chunks[produced / chunkRecords][produced % chunkRecords];
-        rec.si = sr.inst;
-        // the PC table's construction checked every PC fits 32 bits
-        rec.nextPc = static_cast<std::uint32_t>(exec.nextPc());
-        const auto &t = sr.inst->traits();
-        if (t.isLoad || t.isStore)
-            rec.aux = sr.memAddr;
-        else if (sr.inst->op == Opcode::Call)
-            rec.aux = _pcs.find(sr.inst->pc)->rasPushPc;
+        rec.word = (_pcs.indexOf(sr.inst->pc) << traceFlagBits) |
+                   (sr.taken ? traceFlagTaken : 0) |
+                   (sr.halted ? traceFlagHalted : 0);
+        // the PC table's construction checked that PCs and word
+        // addresses fit 32 bits
+        const Opcode op = sr.inst->op;
+        if (op == Opcode::Ret || op == Opcode::IJump)
+            rec.aux = static_cast<std::uint32_t>(exec.nextPc());
         else
-            rec.aux = 0;
-        rec.flags = static_cast<std::uint8_t>(
-            (sr.taken ? traceFlagTaken : 0) |
-            (sr.halted ? traceFlagHalted : 0));
+            rec.aux = static_cast<std::uint32_t>(sr.memAddr);
         produced++;
     }
     SIQ_ASSERT(produced > idx,

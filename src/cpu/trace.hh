@@ -10,15 +10,17 @@
  * function of the program alone — independent of IQ sizing, resize
  * controllers, cache parameters or branch predictor state. A
  * FuncTrace records, per fetched instruction, everything the timing
- * model consumes from the interpreter (the static instruction, the
- * branch outcome, the effective address, the resolved next PC and
- * the return-address-stack push value), in fixed-width 24-byte
- * records held in chunked arena storage. Alongside, it holds the
- * program's predecoded static layout (PcTable), built once at
- * construction and read by every replaying speculative core. The
- * trace is the core's only functional input: Core::fetchStage reads
- * its records, from a trace shared across cells or, for a standalone
- * core, from a private one.
+ * model consumes from the interpreter that the program's static
+ * layout does not already say (the PC-table entry, the branch
+ * outcome, the effective address and an indirect control's resolved
+ * target), in fixed-width 8-byte records held in chunked arena
+ * storage. Alongside, it holds the program's predecoded static
+ * layout (PcTable), built once at construction: every record
+ * resolves its instruction, successor PC and return-address-stack
+ * push through it, and every replaying speculative core follows it
+ * down the wrong path. The trace is the core's only functional
+ * input: Core::fetchStage reads its records, from a trace shared
+ * across cells or, for a standalone core, from a private one.
  *
  * Traces grow lazily: a replaying core's cursor requests records by
  * index, and the producer steps the interpreter just far enough to
@@ -47,41 +49,45 @@
 namespace siq
 {
 
-/// @name TraceRecord flag bits.
+/// @name TraceRecord::word flag bits (below the PcTable index).
 /// @{
-constexpr std::uint8_t traceFlagTaken = 1 << 0;  ///< StepResult::taken
-constexpr std::uint8_t traceFlagHalted = 1 << 1; ///< program ended here
+constexpr std::uint32_t traceFlagTaken = 1 << 0;  ///< StepResult::taken
+constexpr std::uint32_t traceFlagHalted = 1 << 1; ///< program ended here
+constexpr unsigned traceFlagBits = 2;
 /// @}
 
 /**
- * One fetched instruction of the functional stream. `aux` is the
- * word-granular effective address for loads/stores and the
- * return-address-stack push PC for calls (an instruction is never
- * both); `nextPc` is the PC of the next instruction in program order
- * after control resolution (0 once halted) — the value the front-end
- * compares branch-target-buffer predictions against. Trivially
- * default-constructible, so arena chunks are allocated without being
- * zero-filled: the producer writes every field of a record before
- * any window exposes it.
+ * One fetched instruction of the functional stream, resolved through
+ * the program's PcTable. `word` holds the instruction's PcTable entry
+ * index above the taken/halted flag bits. `aux` is the word-granular
+ * effective address of a load or store, the resolved next PC of a
+ * Ret or IJump (0 once halted), and 0 otherwise. Everything else is
+ * static and comes from the entry: the StaticInst, a call's
+ * return-address-stack push PC, and the next PC (recordNextPc()).
+ * Trivially default-constructible, so arena chunks are allocated
+ * without being zero-filled: the producer writes every field of a
+ * record before any window exposes it.
  */
 struct TraceRecord
 {
-    const StaticInst *si;
-    std::uint64_t aux;
-    std::uint32_t nextPc;
-    std::uint8_t flags;
+    std::uint32_t word;
+    std::uint32_t aux;
+
+    std::uint32_t entry() const { return word >> traceFlagBits; }
+    bool taken() const { return (word & traceFlagTaken) != 0; }
+    bool halted() const { return (word & traceFlagHalted) != 0; }
 };
 
-static_assert(sizeof(TraceRecord) == 24,
+static_assert(sizeof(TraceRecord) == 8,
               "trace records are meant to be compact");
 static_assert(std::is_trivially_default_constructible_v<TraceRecord>,
               "chunks are allocated without initialisation");
 
 /**
  * The control-prediction inputs derived from one step of the
- * interpreter: what the trace producer stores in a record's nextPc
- * and (for calls) aux fields. The producer reads the same values
- * from the interpreter's resolved next position and the PC table;
+ * interpreter: what a replaying core reads as a record's next PC
+ * and (for calls) return-address-stack push. Records derive both
+ * from their PcTable entry (recordNextPc(), PcEntry::rasPushPc);
  * this walk of the program structure is their test reference.
  */
 struct CtrlTargets
@@ -125,7 +131,9 @@ static_assert(sizeof(PcEntry) == 24,
  * out contiguously from a 4 KiB page boundary, every page holds one
  * run of consecutive instructions from its start, so a per-page
  * first-entry/count pair resolves a PC with a shift, a mask and two
- * bounds checks. Immutable after construction.
+ * bounds checks. Immutable after construction, which refuses a
+ * program whose PCs or memory size do not fit the 32-bit fields of
+ * its entries and of trace records.
  */
 class PcTable
 {
@@ -147,7 +155,32 @@ class PcTable
         return i < pg.count ? &entries[pg.first + i] : nullptr;
     }
 
+    /** The entry at @p idx, a trace record's entry(). */
+    const PcEntry &
+    at(std::uint32_t idx) const
+    {
+        return entries[idx];
+    }
+
+    /** The entry index of @p pc, which must be an instruction's PC
+     *  (the trace producer's lookup: no bounds checks). */
+    std::uint32_t
+    indexOf(std::uint64_t pc) const
+    {
+        const Page &pg = pages[(pc >> pageShift) - basePage];
+        return pg.first +
+               static_cast<std::uint32_t>((pc & (pageBytes - 1)) >> 2);
+    }
+
     std::size_t size() const { return entries.size(); }
+
+    /** Heap bytes of the table (trace cache accounting). */
+    std::uint64_t
+    bytes() const
+    {
+        return entries.capacity() * sizeof(PcEntry) +
+               pages.capacity() * sizeof(Page);
+    }
 
   private:
     static constexpr unsigned pageShift = 12;
@@ -164,16 +197,30 @@ class PcTable
     std::uint64_t basePage = 0;
 };
 
+/** The PC of the instruction after @p rec in program order, 0 once
+ *  halted — what the front end compares branch-target-buffer
+ *  predictions against. @p e is the record's PcTable entry. */
+inline std::uint64_t
+recordNextPc(const TraceRecord &rec, const PcEntry &e)
+{
+    if (rec.halted())
+        return 0;
+    const Opcode op = e.si->op;
+    if (op == Opcode::Ret || op == Opcode::IJump)
+        return rec.aux;
+    return rec.taken() ? e.takenPc : e.seqPc;
+}
+
 /**
  * A lazily produced, append-only functional trace of one program.
  * Thread-safe: any number of cursors may replay while one of them
- * extends the frontier. Keeps the program alive — records point at
- * its StaticInsts.
+ * extends the frontier. Keeps the program alive — its PC table points
+ * at the program's StaticInsts.
  */
 class FuncTrace
 {
   public:
-    /** Records per arena chunk (192 KiB chunks). */
+    /** Records per arena chunk (64 KiB chunks). */
     static constexpr std::uint64_t chunkRecords = 8192;
 
     explicit FuncTrace(std::shared_ptr<const Program> prog);
@@ -198,10 +245,13 @@ class FuncTrace
     const Program &program() const { return *_prog; }
 
     /** The program's predecoded layout, shared by every replaying
-     *  core (wrong-path fetch and mispredict targets). */
+     *  core (record resolution, wrong-path fetch and mispredict
+     *  targets). */
     const PcTable &pcTable() const { return _pcs; }
 
-    /** Arena bytes allocated so far (cache accounting). */
+    /** Bytes the trace holds: its arena chunks so far, plus the
+     *  interpreter's memory (memWords × 8) and the PC table, both
+     *  allocated at construction (cache accounting). */
     std::uint64_t
     bytes() const
     {
@@ -225,7 +275,7 @@ class FuncTrace
     std::vector<std::unique_ptr<TraceRecord[]>> chunks;
     std::uint64_t produced = 0;
     double _produceSeconds = 0.0;
-    std::atomic<std::uint64_t> _bytes{0};
+    std::atomic<std::uint64_t> _bytes;
     mutable std::mutex mu;
 };
 

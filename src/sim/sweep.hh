@@ -114,7 +114,8 @@ struct SweepCacheStats
     std::uint64_t traceBuilds = 0;
     std::uint64_t traceHits = 0;
     std::uint64_t traceEvicted = 0;
-    /** Trace arena bytes resident at sampling time (not cumulative). */
+    /** Trace bytes (chunks, interpreter memory, PC tables) resident
+     *  at sampling time (not cumulative). */
     std::uint64_t traceBytes = 0;
     /// @}
 

@@ -25,7 +25,11 @@
  * those traces — each lives until its last handle drops, and the late
  * deleter finds the state expired instead of touching freed memory.
  *
- * Accounting: resident bytes are maintained as a running counter —
+ * Accounting: an entry counts every byte its trace holds
+ * (FuncTrace::bytes()): the record chunks produced so far, and the
+ * interpreter memory and PC table a trace allocates at construction —
+ * a fresh trace of a 4 MiB-memory program weighs 4 MiB before its
+ * first record. Resident bytes are maintained as a running counter —
  * each entry carries the byte count last folded into the total
  * (`bytesSeen`), refreshed whenever that entry is touched (hit,
  * release). Only pinned entries can grow, and every pin ends in a
@@ -52,7 +56,8 @@ namespace siq::sim
 class TraceCache
 {
   public:
-    /** @p capBytes bounds resident arena bytes (0 = unbounded). */
+    /** @p capBytes bounds the resident bytes of the cached traces
+     *  (FuncTrace::bytes(); 0 = unbounded). */
     explicit TraceCache(std::uint64_t capBytes);
 
     /** Warns (does not abort) when handles are still outstanding;
@@ -75,8 +80,9 @@ class TraceCache
     std::uint64_t builds() const;
     std::uint64_t hits() const;
     std::uint64_t evicted() const;
-    /** Arena bytes currently resident across all cached traces;
-     *  refreshes pinned-entry growth, so the report is live. */
+    /** Bytes currently resident across all cached traces (chunks,
+     *  interpreter memory and PC tables); refreshes pinned-entry
+     *  growth, so the report is live. */
     std::uint64_t residentBytes() const;
     /** Entries currently pinned by outstanding handles. */
     std::uint64_t pinnedEntries() const;

@@ -183,6 +183,12 @@ ProgramBuilder::initMem(std::uint64_t wordAddr, std::int64_t value)
     memInit.emplace_back(wordAddr, value);
 }
 
+void
+ProgramBuilder::reserveMem(std::uint64_t pairs)
+{
+    memInit.reserve(memInit.size() + pairs);
+}
+
 Program
 ProgramBuilder::build()
 {

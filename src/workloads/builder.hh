@@ -117,6 +117,9 @@ class ProgramBuilder
     std::uint64_t alloc(std::uint64_t words);
     /** Set an initial memory value. */
     void initMem(std::uint64_t wordAddr, std::int64_t value);
+    /** Make room for @p pairs more initMem() calls, so a generator
+     *  that knows its image size grows the pair vector once. */
+    void reserveMem(std::uint64_t pairs);
     /// @}
 
     /** Seal the memory image, finalize and return the program

@@ -44,6 +44,7 @@ emitFillArray(ProgramBuilder &b, std::uint64_t base,
               std::int64_t words, std::int64_t mask,
               std::uint64_t seed, int shift = 32)
 {
+    b.reserveMem(static_cast<std::uint64_t>(words));
     std::uint64_t state = seed | 1;
     for (std::int64_t i = 0; i < words; i++) {
         state = state * 6364136223846793005ull +

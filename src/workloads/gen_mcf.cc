@@ -27,6 +27,7 @@ genMcf(const WorkloadParams &params)
     // initial image: next pointers form one big strided cycle;
     // node costs are noise (host-side — the paper skips init code)
     {
+        b.reserveMem(2 * numNodes);
         std::uint64_t state = params.seed | 1;
         for (std::int64_t i = 0; i < numNodes; i++) {
             const std::int64_t nextNode =

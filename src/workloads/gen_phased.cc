@@ -45,6 +45,7 @@ genPhased(const WorkloadParams &params, const FamilyParams &fp)
     const std::uint64_t streamBase =
         b.alloc(static_cast<std::uint64_t>(streamWords));
 
+    b.reserveMem(chaseWords + streamWords);
     // chase image: one strided cycle (memStride forced odd => the
     // walk visits every word before repeating)
     {

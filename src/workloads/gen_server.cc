@@ -39,6 +39,7 @@ genServer(const WorkloadParams &params, const FamilyParams &fp)
     // functional graph — probes walk a few hops, not full cycles),
     // payloads are 16-bit noise for the comparison branches
     {
+        b.reserveMem(2 * numNodes);
         std::uint64_t state = params.seed | 1;
         for (std::int64_t i = 0; i < numNodes; i++) {
             const auto addr =

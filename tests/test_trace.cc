@@ -2,8 +2,9 @@
  * @file
  * Functional-trace unit tests: program content hashing, lazy chunked
  * production, record-by-record equivalence with the interpreter,
- * shared-vs-private trace equivalence of the timing model, and the
- * bounded trace cache's accounting and eviction policy.
+ * shared-vs-private trace equivalence of the timing model, the PC
+ * table's layout and limits, and the bounded trace cache's
+ * accounting and eviction policy.
  */
 
 #include <gtest/gtest.h>
@@ -104,23 +105,28 @@ TEST(FuncTrace, LazyChunkedProductionEndsAtHalt)
     auto prog = std::make_shared<const Program>(b.build());
 
     FuncTrace trace(prog);
+    const PcTable &pcs = trace.pcTable();
     EXPECT_EQ(trace.producedRecords(), 0u);
-    EXPECT_EQ(trace.bytes(), 0u);
+    // before any record: the interpreter's memory and the PC table
+    const std::uint64_t fixed = 64 * sizeof(std::int64_t) + pcs.bytes();
+    EXPECT_EQ(trace.bytes(), fixed);
 
     TraceCursor cur(&trace);
     const TraceRecord &r0 = cur.at(0);
-    EXPECT_EQ(r0.si->op, Opcode::MovImm);
-    EXPECT_EQ(r0.flags, 0);
+    EXPECT_EQ(pcs.at(r0.entry()).si->op, Opcode::MovImm);
+    EXPECT_FALSE(r0.taken());
+    EXPECT_FALSE(r0.halted());
     // one request produced the whole (short) program: production
     // batches to the chunk end but stops at the halt record
     EXPECT_EQ(trace.producedRecords(), 3u);
     EXPECT_EQ(trace.bytes(),
-              FuncTrace::chunkRecords * sizeof(TraceRecord));
+              fixed + FuncTrace::chunkRecords * sizeof(TraceRecord));
 
     const TraceRecord &r2 = cur.at(2);
-    EXPECT_TRUE(r2.si->traits().isHalt);
-    EXPECT_NE(r2.flags & traceFlagHalted, 0);
-    EXPECT_EQ(r2.nextPc, 0u);
+    const PcEntry &e2 = pcs.at(r2.entry());
+    EXPECT_TRUE(e2.si->traits().isHalt);
+    EXPECT_TRUE(r2.halted());
+    EXPECT_EQ(recordNextPc(r2, e2), 0u);
     // records are stable across cursors
     TraceCursor cur2(&trace);
     EXPECT_EQ(&cur2.at(1), &cur.at(1));
@@ -152,6 +158,7 @@ TEST(FuncTrace, HaltMidChunkExposesOnlyProducedRecords)
     ASSERT_NE(n % FuncTrace::chunkRecords, 0u);
 
     FuncTrace trace(prog);
+    const PcTable &pcs = trace.pcTable();
     const FuncTrace::Window first = trace.window(0);
     EXPECT_EQ(trace.producedRecords(), FuncTrace::chunkRecords);
     EXPECT_EQ(first.end, FuncTrace::chunkRecords);
@@ -161,7 +168,8 @@ TEST(FuncTrace, HaltMidChunkExposesOnlyProducedRecords)
     EXPECT_EQ(last.begin, FuncTrace::chunkRecords);
     EXPECT_EQ(last.end, n);
     EXPECT_EQ(trace.bytes(),
-              2 * FuncTrace::chunkRecords * sizeof(TraceRecord));
+              256 * sizeof(std::int64_t) + pcs.bytes() +
+                  2 * FuncTrace::chunkRecords * sizeof(TraceRecord));
 
     for (std::uint64_t i = 0; i < n; i++) {
         const FuncTrace::Window w = trace.window(i);
@@ -169,9 +177,8 @@ TEST(FuncTrace, HaltMidChunkExposesOnlyProducedRecords)
         ASSERT_LT(i, w.end);
         ASSERT_LE(w.end, trace.producedRecords());
         const TraceRecord &rec = w.base[i - w.begin];
-        ASSERT_EQ(rec.si, steps[i].inst) << "record " << i;
-        ASSERT_EQ((rec.flags & traceFlagHalted) != 0, i + 1 == n)
-            << "record " << i;
+        ASSERT_EQ(pcs.at(rec.entry()).si, steps[i].inst) << "record " << i;
+        ASSERT_EQ(rec.halted(), i + 1 == n) << "record " << i;
     }
 }
 
@@ -203,25 +210,30 @@ TEST(FuncTrace, ConcurrentTracesShareOneImage)
         const TraceRecord &ref = cs.at(i);
         for (TraceCursor *c : {&ca, &cb}) {
             const TraceRecord &rec = c->at(i);
-            // copies hold their own StaticInsts: compare by PC
-            ASSERT_EQ(rec.si->pc, ref.si->pc) << "record " << i;
+            // copies hold their own StaticInsts in the same layout:
+            // equal entry indices, flags and aux
+            ASSERT_EQ(rec.word, ref.word) << "record " << i;
             ASSERT_EQ(rec.aux, ref.aux) << "record " << i;
-            ASSERT_EQ(rec.nextPc, ref.nextPc) << "record " << i;
-            ASSERT_EQ(rec.flags, ref.flags) << "record " << i;
         }
+        ASSERT_EQ(ta.pcTable().at(ca.at(i).entry()).si->pc,
+                  serial.pcTable().at(ref.entry()).si->pc)
+            << "record " << i;
     }
 }
 
-/** Every record carries exactly what one interpreter step yields:
- *  the instruction, branch outcome, halt flag, load/store address or
- *  call RAS push, and the resolved next PC — for every registered
- *  family, up to its halt or a per-family record budget. */
+/** Every record, resolved through its PC-table entry, carries
+ *  exactly what one interpreter step yields: the instruction, branch
+ *  outcome, halt flag, load/store address, the call's RAS push and
+ *  the resolved next PC (the entry's successor, or aux for a Ret or
+ *  IJump) — for every registered family, up to its halt or a
+ *  per-family record budget. */
 TEST(FuncTrace, RecordsMatchInterpreterForEveryFamily)
 {
     constexpr std::uint64_t budget = 60000;
     for (const auto &family : workloads::familyNames()) {
         const auto prog = generateShared(family);
         FuncTrace trace(prog);
+        const PcTable &pcs = trace.pcTable();
         TraceCursor cur(&trace);
         ExecContext ref(*prog);
         std::uint64_t i = 0;
@@ -229,17 +241,25 @@ TEST(FuncTrace, RecordsMatchInterpreterForEveryFamily)
             const StepResult sr = ref.step();
             const CtrlTargets ct = ctrlTargets(*prog, sr);
             const TraceRecord &rec = cur.at(i);
-            ASSERT_EQ(rec.si, sr.inst) << family << " record " << i;
-            ASSERT_EQ((rec.flags & traceFlagTaken) != 0, sr.taken)
+            const PcEntry &e = pcs.at(rec.entry());
+            ASSERT_EQ(e.si, sr.inst) << family << " record " << i;
+            ASSERT_EQ(rec.taken(), sr.taken)
                 << family << " record " << i;
-            ASSERT_EQ((rec.flags & traceFlagHalted) != 0, sr.halted)
+            ASSERT_EQ(rec.halted(), sr.halted)
                 << family << " record " << i;
-            ASSERT_EQ(rec.nextPc, ct.actualNextPc)
+            ASSERT_EQ(recordNextPc(rec, e), ct.actualNextPc)
                 << family << " record " << i;
+            if (sr.inst->op == Opcode::Call) {
+                ASSERT_EQ(e.rasPushPc, ct.rasPushPc)
+                    << family << " record " << i;
+            }
             const auto &t = sr.inst->traits();
-            const std::uint64_t aux = t.isLoad || t.isStore
-                                          ? sr.memAddr
-                                          : ct.rasPushPc;
+            const Opcode op = sr.inst->op;
+            const std::uint64_t aux =
+                t.isLoad || t.isStore ? sr.memAddr
+                : op == Opcode::Ret || op == Opcode::IJump
+                    ? ct.actualNextPc
+                    : 0;
             ASSERT_EQ(rec.aux, aux) << family << " record " << i;
         }
         EXPECT_GT(i, 1000u) << family;
@@ -339,6 +359,23 @@ TEST(PcTable, MatchesBruteForceWalkForEveryFamily)
     }
 }
 
+/** Trace records hold word addresses in 32 bits, so the PC table
+ *  (built here alone: no interpreter memory is allocated) refuses a
+ *  memory one word larger than 2^32 words and accepts 2^32. */
+TEST(PcTable, RefusesMemoryPast32BitWordAddresses)
+{
+    const auto haltOnly = [](std::uint64_t memWords) {
+        ProgramBuilder b("huge", memWords);
+        b.newProc("main");
+        b.emit(makeHalt());
+        return b.build();
+    };
+    const Program largest = haltOnly(1ull << 32);
+    EXPECT_EQ(PcTable(largest).size(), 1u);
+    const Program tooLarge = haltOnly((1ull << 32) + 1);
+    EXPECT_DEATH({ PcTable table(tooLarge); }, "32-bit addresses");
+}
+
 /** A second replayer with a larger budget extends the shared trace
  *  past the first one's frontier (lazy growth: the instruction budget
  *  is not part of the trace identity), and sharing is invisible: a
@@ -398,12 +435,38 @@ TEST(TraceCache, HitAndBuildAccountingExact)
     EXPECT_EQ(cache.evicted(), 0u);
 }
 
+/** A trace weighs what it holds from construction on: the
+ *  interpreter's memory and the PC table count before its first
+ *  record, so a cap below one mcf interpreter evicts a trace that
+ *  never produced a record once its last handle drops. */
+TEST(TraceCache, FreshTraceCountsInterpreterAndPcTable)
+{
+    const auto mcf = generateShared("mcf");
+    const std::uint64_t interpreter = mcf->memWords * sizeof(std::int64_t);
+    sim::TraceCache cache(interpreter - 1);
+    auto t = cache.get(mcf);
+    EXPECT_EQ(t->producedRecords(), 0u);
+    EXPECT_GT(t->pcTable().bytes(), 0u);
+    EXPECT_EQ(t->bytes(), interpreter + t->pcTable().bytes());
+    EXPECT_EQ(cache.residentBytes(), t->bytes());
+
+    // a second handle is a hit; dropping it leaves the entry pinned
+    auto again = cache.get(mcf);
+    EXPECT_EQ(again.get(), t.get());
+    again.reset();
+    EXPECT_EQ(cache.evicted(), 0u);
+
+    t.reset();
+    EXPECT_EQ(cache.evicted(), 1u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+}
+
 TEST(TraceCache, EvictsLruUnreferencedWhenOverCap)
 {
-    // cap below one chunk: any second resident trace forces eviction
+    // cap below any trace: every unpinned trace is evicted
     sim::TraceCache cache(1);
     auto t1 = cache.get(generateShared("gzip"));
-    TraceCursor(&*t1).at(0); // allocate a chunk
+    TraceCursor(&*t1).at(0); // produce a chunk
     ASSERT_GT(t1->bytes(), 1u);
 
     // t1 is still referenced: inserting mcf must not evict it

@@ -33,16 +33,18 @@ generateShared(const std::string &bench, std::uint64_t seed = 12345)
         workloads::generate(bench, wp));
 }
 
-/** Force production of a prefix so the trace owns arena bytes. */
+/** Force production of a prefix so the trace owns chunk bytes, and
+ *  read it back through the trace's PC table. */
 std::uint64_t
 touch(const std::shared_ptr<FuncTrace> &trace, std::size_t upTo = 64)
 {
     TraceCursor cur(trace.get());
+    const PcTable &pcs = trace->pcTable();
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < upTo; i++) {
         const TraceRecord &r = cur.at(i);
-        sum += r.nextPc;
-        if (r.flags & traceFlagHalted)
+        sum += recordNextPc(r, pcs.at(r.entry()));
+        if (r.halted())
             break;
     }
     return sum;
