@@ -78,7 +78,7 @@ Core::Core(const Program &prog, const CoreConfig &config,
            IqLimitController *controller, FuncTrace *trace)
     : cfg(config), ctrl(controller), mem(config.mem),
       _bpred(config.bpred), iq(config.iq), lsq(config.lsq),
-      intRegs(config.intRegs), fpRegs(config.fpRegs)
+      intRegs(config.intRegs), fpRegs(config.fpRegs), pcs(prog)
 {
     if (trace == nullptr) {
         // the aliasing pointer owns nothing: the caller keeps prog
@@ -88,14 +88,13 @@ Core::Core(const Program &prog, const CoreConfig &config,
                 std::shared_ptr<const Program>(), &prog));
         trace = ownTrace.get();
     }
-    // replaying a trace of a different program would silently
-    // simulate the wrong instruction stream
+    // replaying a trace of a different instruction stream would
+    // silently simulate the wrong program
     SIQ_ASSERT(trace->program().contentHash == prog.contentHash,
                "trace/program content mismatch");
     if (ctrl != nullptr)
         readLimits();
     stream = TraceCursor(trace);
-    pcs = &trace->pcTable();
     fetchLineShift = std::countr_zero(cfg.mem.l1i.lineBytes);
     SIQ_ASSERT(cfg.robSize > 0, "empty ROB");
     SIQ_ASSERT(cfg.fetchQueueSize > 0, "empty fetch queue");
@@ -564,7 +563,7 @@ Core::fetchStage()
         // the next record, without consuming it: an icache miss ends
         // the fetch group before it is fetched
         const TraceRecord &rec = stream.at(streamIdx);
-        const PcEntry &e = pcs->at(rec.entry());
+        const PcEntry &e = pcs.at(rec.entry());
         if (!icacheHit(e.si->pc))
             break;
         streamIdx++;
@@ -612,7 +611,7 @@ Core::wrongPathFetchStage()
 {
     int fetched = 0;
     while (fetched < cfg.fetchWidth && fqCount < cfg.fetchQueueSize) {
-        const PcEntry *e = pcs->find(wpPc);
+        const PcEntry *e = pcs.find(wpPc);
         if (e == nullptr) {
             // a stale BTB/RAS entry predicted a PC that is no longer
             // (or never was) an instruction: misfetch, gate until the

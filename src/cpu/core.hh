@@ -314,10 +314,13 @@ class Core
      * @param controller optional hardware resize heuristic (owned by
      *        the caller; pass nullptr for the baseline and the
      *        compiler-hint configurations)
-     * @param trace optional shared functional trace of an identical
-     *        program (equal contentHash), possibly already extended by
-     *        other cores; it must outlive the core. Without one the
-     *        core produces a private trace of @p prog.
+     * @param trace optional shared functional trace of a program
+     *        with @p prog's instruction stream (equal contentHash,
+     *        hints may differ), possibly already extended by other
+     *        cores; it must outlive the core. Without one the core
+     *        produces a private trace of @p prog. Either way every
+     *        record resolves through the core's own PcTable of
+     *        @p prog.
      */
     Core(const Program &prog, const CoreConfig &config,
          IqLimitController *controller = nullptr,
@@ -541,10 +544,13 @@ class Core
     int fetchLineShift = 0;
     bool coreHalted = false;
 
-    /** The program's predecoded layout, owned by the trace (shared
-     *  by every core replaying it): trace records, wrong-path fetch
-     *  and mispredict targets resolve against it. */
-    const PcTable *pcs = nullptr;
+    /** The core's own program's predecoded layout, built at
+     *  construction: trace records (whose entry indices are positions
+     *  in the layout, equal across programs of one contentHash),
+     *  wrong-path fetch and mispredict targets resolve against it, so
+     *  a core replaying a trace produced from a sibling program reads
+     *  its own program's tags and hint values. */
+    const PcTable pcs;
     /** A mispredicted branch is in flight; fetch follows wpPc. */
     bool wpActive = false;
     /** Front end gated by a misfetch (empty RAS, cold BTB, dead

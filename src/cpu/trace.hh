@@ -15,12 +15,15 @@
  * outcome, the effective address and an indirect control's resolved
  * target), in fixed-width 8-byte records held in chunked arena
  * storage. Alongside, it holds the program's predecoded static
- * layout (PcTable), built once at construction: every record
- * resolves its instruction, successor PC and return-address-stack
- * push through it, and every replaying speculative core follows it
- * down the wrong path. The trace is the core's only functional
- * input: Core::fetchStage reads its records, from a trace shared
- * across cells or, for a standalone core, from a private one.
+ * layout (PcTable), built once at construction, whose entry indices
+ * the records hold. A replaying core resolves each record's
+ * instruction, successor PC and return-address-stack push through its
+ * own program's PcTable (same layout, same indices), and follows that
+ * table down the wrong path, so the hints it reads are its own
+ * program's even when a sibling produced the trace. The trace is the
+ * core's only functional input: Core::fetchStage reads its records,
+ * from a trace shared across cells or, for a standalone core, from a
+ * private one.
  *
  * Traces grow lazily: a replaying core's cursor requests records by
  * index, and the producer steps the interpreter just far enough to
@@ -242,11 +245,14 @@ class FuncTrace
      */
     Window window(std::uint64_t idx);
 
+    /** The program that first built the trace. Every program of its
+     *  contentHash runs the same stream, so its cached trace also
+     *  serves siblings whose hints differ (tag-annotated copies). */
     const Program &program() const { return *_prog; }
 
-    /** The program's predecoded layout, shared by every replaying
-     *  core (record resolution, wrong-path fetch and mispredict
-     *  targets). */
+    /** program()'s predecoded layout: the producer's record entry
+     *  indices. A replaying core resolves records through its own
+     *  program's table, which lays out the same PCs. */
     const PcTable &pcTable() const { return _pcs; }
 
     /** Bytes the trace holds: its arena chunks so far, plus the

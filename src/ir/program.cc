@@ -50,6 +50,9 @@ hashImage(const std::vector<MemImage::Word> &words)
     return addrs.value();
 }
 
+/** Program::contentHash: everything the interpreter executes, and
+ *  not the hint payloads (tagHint, hintValue) only the timing core
+ *  reads. */
 std::uint64_t
 hashContent(const Program &prog)
 {
@@ -75,12 +78,10 @@ hashContent(const Program &prog)
                           << 16 |
                       static_cast<std::uint64_t>(
                           static_cast<std::uint16_t>(si.src2))
-                          << 32 |
-                      static_cast<std::uint64_t>(si.hintValue) << 48);
+                          << 32);
                 f.mix(static_cast<std::uint64_t>(si.imm));
                 f.mix(static_cast<std::uint64_t>(
-                          static_cast<std::uint32_t>(si.target)) |
-                      static_cast<std::uint64_t>(si.tagHint) << 32);
+                    static_cast<std::uint32_t>(si.target)));
             }
         }
     }

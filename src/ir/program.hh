@@ -114,17 +114,22 @@ struct Program
     std::shared_ptr<const MemImage> memImage = MemImage::empty();
 
     /**
-     * Content fingerprint over every field that affects execution
-     * (instructions, block structure, entry point, memory size and the
-     * image's hash), mixed a whole 64-bit word at a time by a chained
-     * splitmix64 finalizer; filled by finalize(). Two Program objects
-     * with equal hashes execute identically instruction for
-     * instruction — the key the sweep engine's functional-trace cache
-     * shares traces under, across techniques whose annotation was a
-     * no-op and across ablation cells that only vary
-     * microarchitectural knobs. An in-process cache key only: it is
-     * never exported or checkpointed, so its values may change
-     * between versions.
+     * Fingerprint of what the interpreter executes: the layout,
+     * opcodes, registers, immediates and targets of every instruction,
+     * the block structure, entry procedure, memory size and the
+     * image's hash, mixed a whole 64-bit word at a time by a chained
+     * splitmix64 finalizer; filled by finalize(). It leaves out the
+     * hint payloads (StaticInst::tagHint, a Hint's hintValue), which
+     * only the timing core reads at dispatch. Two Program objects with
+     * equal hashes therefore run the same instruction stream, PC for
+     * PC, though they may carry different hints — the key the sweep
+     * engine's functional-trace cache shares traces under: a raw
+     * program, its tag-annotated (extension, improved) copies, and
+     * every technique and ablation cell that varies only the
+     * microarchitecture. A Hint-op insertion (noop) moves PCs and so
+     * changes the hash. An in-process cache key only: it is never
+     * exported or checkpointed, so its values may change between
+     * versions.
      */
     std::uint64_t contentHash = 0;
 

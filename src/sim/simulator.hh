@@ -128,8 +128,9 @@ compilerConfigFor(Technique tech, const RunConfig &cfg);
  * by serial runOne and the threaded sweep engine; the caller fills in
  * workload/compile metadata on the returned result. When @p trace is
  * non-null the core replays that shared functional trace (@p prog
- * must be content-identical to the trace's program), otherwise a
- * private one; every counter is byte-identical either way.
+ * must have the trace's program's contentHash: the same instruction
+ * stream, hints may differ), otherwise a private one; every counter
+ * is byte-identical either way.
  *
  * Cost model: constructing the Core allocates every arena the tick
  * loop needs (ROB + dense per-entry arrays, completion wheel, fetch

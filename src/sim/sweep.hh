@@ -12,7 +12,8 @@
  *    full compiler configuration) — built once per distinct
  *    annotation and shared by every cell that asks for it;
  *  - functional traces (cpu/trace.hh), keyed by the program's content
- *    hash — the interpreter runs once per distinct program and every
+ *    hash — the interpreter runs once per distinct instruction stream
+ *    (a raw program and its tag-annotated copies share one) and every
  *    cell replays the shared trace, byte-identical by construction.
  *    Bounded by SIQSIM_TRACE_CACHE_MB (LRU eviction of unreferenced
  *    traces; DESIGN.md §11).

@@ -3,11 +3,14 @@
  * Bounded, evicting cache of functional traces keyed by program
  * content hash (DESIGN.md §11).
  *
- * Sweep cells that simulate the same generated+annotated program —
- * every replica seed of a cell, and every technique whose annotation
- * leaves the instruction stream identical — share one FuncTrace, so
- * the interpreter runs once per distinct program instead of once per
- * cell.
+ * Sweep cells whose programs run the same instruction stream (equal
+ * Program::contentHash, which leaves out hint payloads) share one
+ * FuncTrace: a workload's baseline, abella and folegnani cells (the
+ * raw program) and its extension and improved cells (tag-annotated
+ * copies with the raw layout). Only a Hint-op insertion (noop) moves
+ * PCs and so needs a trace of its own. The interpreter thus runs once
+ * per distinct instruction stream instead of once per cell; each
+ * replaying core reads its own program's hints (Core::pcs).
  *
  * Handles pin: get() returns a shared_ptr whose deleter notifies the
  * cache, so an entry some worker still holds is never evicted and the

@@ -190,10 +190,11 @@ ProgramBuilder::reserveMem(std::uint64_t pairs)
 }
 
 Program
-ProgramBuilder::build()
+ProgramBuilder::build(int entryProc)
 {
     SIQ_ASSERT(!built, "build() called twice");
     built = true;
+    prog.entryProc = entryProc;
     prog.memImage = std::make_shared<const MemImage>(std::move(memInit));
     prog.finalize();
     return std::move(prog);

@@ -122,9 +122,10 @@ class ProgramBuilder
     void reserveMem(std::uint64_t pairs);
     /// @}
 
-    /** Seal the memory image, finalize and return the program
-     *  (builder becomes unusable). */
-    Program build();
+    /** Seal the memory image, set the entry procedure to
+     *  @p entryProc, finalize and return the program (builder becomes
+     *  unusable). */
+    Program build(int entryProc = 0);
 
   private:
     BasicBlock &cur();

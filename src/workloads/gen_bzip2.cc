@@ -95,9 +95,7 @@ genBzip2(const WorkloadParams &params)
     b.emit(makeStore(5, 28, 0));
     b.emit(makeHalt());
 
-    Program prog = b.build();
-    prog.entryProc = mainProc;
-    return prog;
+    return b.build(mainProc);
 }
 
 } // namespace siq::workloads

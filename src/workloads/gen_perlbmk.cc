@@ -109,9 +109,7 @@ genPerlbmk(const WorkloadParams &params)
     b.emit(makeStore(5, 28, 0));
     b.emit(makeHalt());
 
-    Program prog = b.build();
-    prog.entryProc = mainProc;
-    return prog;
+    return b.build(mainProc);
 }
 
 } // namespace siq::workloads

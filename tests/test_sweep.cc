@@ -510,9 +510,12 @@ traceSpec()
     return spec;
 }
 
-/** Exact accounting: one trace build per distinct annotated-program
- *  content, one hit for every other (cell, replica); the distinct set
- *  is recomputed here independently of the cache. */
+/** Exact accounting: one trace build per distinct instruction stream
+ *  (contentHash), one hit for every other (cell, replica); the
+ *  distinct set is recomputed here independently of the cache. Per
+ *  workload and replica the raw program (baseline, abella, folegnani
+ *  and the tag-only extension and improved) and noop's Hint-op copy
+ *  are two streams: 16 builds and 32 hits over the 48 cells. */
 TEST(TraceReplay, CacheAccountingMatchesDistinctPrograms)
 {
     const auto spec = traceSpec();
@@ -546,6 +549,8 @@ TEST(TraceReplay, CacheAccountingMatchesDistinctPrograms)
     }
     EXPECT_EQ(sweep.cache.traceBuilds, distinct.size());
     EXPECT_EQ(sweep.cache.traceHits, gets - distinct.size());
+    EXPECT_EQ(sweep.cache.traceBuilds, 16u);
+    EXPECT_EQ(sweep.cache.traceHits, 32u);
     EXPECT_EQ(sweep.cache.traceEvicted, 0u);
     EXPECT_GT(sweep.cache.traceBytes, 0u);
 }

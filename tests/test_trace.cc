@@ -2,7 +2,8 @@
  * @file
  * Functional-trace unit tests: program content hashing, lazy chunked
  * production, record-by-record equivalence with the interpreter,
- * shared-vs-private trace equivalence of the timing model, the PC
+ * shared-vs-private trace equivalence of the timing model (also for
+ * tagged programs replaying the raw program's trace), the PC
  * table's layout and limits, and the bounded trace cache's
  * accounting and eviction policy.
  */
@@ -14,9 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include "compiler/pass.hh"
 #include "cpu/core.hh"
 #include "cpu/trace.hh"
 #include "ir/exec.hh"
+#include "sim/simulator.hh"
+#include "sim/technique.hh"
 #include "sim/trace_cache.hh"
 #include "workloads/builder.hh"
 #include "workloads/family.hh"
@@ -413,6 +417,68 @@ TEST(FuncTrace, BudgetsExtendSharedTrace)
             EXPECT_GT(solo.stats().squashes, 0u);
         }
     }
+}
+
+/** Tag annotation keeps the raw instruction stream (equal
+ *  contentHash), so an extension or improved cell may replay a trace
+ *  the raw program produced. Its core resolves records through its
+ *  own program's PcTable, so it still applies its own tags: the
+ *  counters equal the same cell over a private trace of the tagged
+ *  program, under both front ends, for every family whose annotation
+ *  shares the raw hash. */
+TEST(FuncTrace, TaggedCellsReplayTheRawProgramsTrace)
+{
+    int shared = 0;
+    for (const auto &name : workloads::familyNames()) {
+        const auto raw = generateShared(name);
+        for (const char *tech : {"extension", "improved"}) {
+            const sim::TechniqueDef &def = *sim::findTechnique(tech);
+            sim::RunConfig cfg;
+            cfg.tech = def.tag;
+            // tags sit at region entries, some run once near the start
+            cfg.warmupInsts = 0;
+            cfg.measureInsts = 20000;
+            Program tagged = *raw;
+            compiler::annotate(tagged, *def.compilerConfig(cfg));
+            if (tagged.contentHash != raw->contentHash)
+                continue;
+            shared++;
+            for (const bool spec : {false, true}) {
+                cfg.core.specFrontEnd = spec;
+                FuncTrace rawTrace(raw);
+                const auto overRaw =
+                    sim::simulateProgram(tagged, def, cfg, &rawTrace);
+                const auto own = sim::simulateProgram(tagged, def, cfg);
+                EXPECT_GT(overRaw.stats.hintsApplied, 0u)
+                    << name << " " << tech << " spec=" << spec;
+                EXPECT_EQ(overRaw.stats, own.stats)
+                    << name << " " << tech << " spec=" << spec;
+                EXPECT_EQ(overRaw.iq, own.iq)
+                    << name << " " << tech << " spec=" << spec;
+            }
+        }
+    }
+    // every family but bzip2, whose tag schemes both insert a Hint op
+    // into an empty block
+    EXPECT_EQ(shared, 26);
+}
+
+/** A Hint-op insertion moves PCs, so a noop-annotated program handed
+ *  the raw program's trace is refused rather than silently simulating
+ *  a stream whose records index another layout. */
+TEST(FuncTrace, HintOpProgramRefusesTheRawProgramsTrace)
+{
+    const auto raw = generateShared("gzip");
+    const sim::TechniqueDef &def = *sim::findTechnique("noop");
+    sim::RunConfig cfg;
+    cfg.tech = def.tag;
+    Program noop = *raw;
+    ASSERT_GT(compiler::annotate(noop, *def.compilerConfig(cfg))
+                  .hintNoopsInserted,
+              0u);
+    FuncTrace rawTrace(raw);
+    EXPECT_DEATH({ Core core(noop, cfg.core, nullptr, &rawTrace); },
+                 "trace/program content mismatch");
 }
 
 TEST(TraceCache, HitAndBuildAccountingExact)
