@@ -3,8 +3,7 @@
  * Design-choice ablations (DESIGN.md §5):
  *  A1 clamp-floor sweep — how the minHint floor trades IPC for power;
  *  A2 bank granularity — 5x16 / 10x8 / 20x4 bank splits;
- *  A3 redundant-hint elision on/off (NOOP-count and IPC effect);
- *  A4 the Folegnani&González resizer next to ours and abella.
+ *  A3 redundant-hint elision on/off (NOOP-count and IPC effect).
  *
  * Every ablation is a declarative sweep over built-in techniques that
  * varies one serialized RunConfig field (minHint, core.iq.bankSize,
@@ -15,8 +14,10 @@
  */
 
 #include <functional>
+#include <iostream>
 
-#include "bench/common.hh"
+#include "common/table.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -47,8 +48,7 @@ runSubset(sim::ExperimentRunner &runner,
 void
 clampSweep(sim::ExperimentRunner &runner)
 {
-    bench::header("A1: hint clamp floor sweep",
-                  "larger floors trade power savings for IPC safety");
+    std::cout << "==== A1: hint clamp floor sweep ====\n\n";
 
     const std::vector<int> floors = {4, 8, 12, 16};
     // the floor only changes the noop annotation, so one baseline
@@ -69,7 +69,7 @@ clampSweep(sim::ExperimentRunner &runner)
             const auto &r = sweeps[f].at("noop", b);
             const auto cmp = sim::comparePower(base, r);
             t.addRow({subset[b], std::to_string(floors[f]),
-                      Table::pct(bench::ipcLoss(base, r)),
+                      Table::pct(sim::ipcLoss(base, r)),
                       Table::pct(cmp.iqDynamicSaving)});
         }
     }
@@ -80,8 +80,7 @@ clampSweep(sim::ExperimentRunner &runner)
 void
 bankSweep(sim::ExperimentRunner &runner)
 {
-    bench::header("A2: IQ bank granularity",
-                  "finer banks gate more but cost overhead per bank");
+    std::cout << "==== A2: IQ bank granularity ====\n\n";
     const std::vector<int> bankSizes = {16, 8, 4};
     // bank geometry is a machine change: one sweep per geometry, but
     // the same cached workload programs serve every geometry
@@ -113,9 +112,7 @@ bankSweep(sim::ExperimentRunner &runner)
 void
 elisionAblation(sim::ExperimentRunner &runner)
 {
-    bench::header("A3: redundant-hint elision",
-                  "elision removes NOOPs whose value matches the "
-                  "incoming range");
+    std::cout << "==== A3: redundant-hint elision ====\n\n";
 
     const auto on = runSubset(runner, {"baseline", "noop"});
     const auto off = runSubset(runner, {"noop"}, [](sim::RunConfig &cfg) {
@@ -129,31 +126,7 @@ elisionAblation(sim::ExperimentRunner &runner)
             const auto &r = sweep->at("noop", b);
             t.addRow({subset[b], sweep == &on ? "on" : "off",
                       std::to_string(r.compile.hintNoopsInserted),
-                      Table::pct(bench::ipcLoss(base, r))});
-        }
-    }
-    t.print(std::cout);
-    std::cout << '\n';
-}
-
-void
-folegnaniComparison(sim::ExperimentRunner &runner)
-{
-    bench::header("A4: Folegnani&Gonzalez resizer",
-                  "the ISCA'01 heuristic vs abella vs compiler hints");
-
-    const auto sweep = runSubset(
-        runner, {"baseline", "noop", "abella", "folegnani"});
-
-    Table t({"benchmark", "technique", "IPC loss", "IQ dyn saving"});
-    for (std::size_t b = 0; b < subset.size(); b++) {
-        const auto &base = sweep.at("baseline", b);
-        for (const char *tech : {"noop", "abella", "folegnani"}) {
-            const auto &r = sweep.at(tech, b);
-            const auto cmp = sim::comparePower(base, r);
-            t.addRow({subset[b], tech,
-                      Table::pct(bench::ipcLoss(base, r)),
-                      Table::pct(cmp.iqDynamicSaving)});
+                      Table::pct(sim::ipcLoss(base, r))});
         }
     }
     t.print(std::cout);
@@ -166,12 +139,11 @@ main()
 {
     using namespace siq;
     // one engine for the whole binary: the subset's workloads are
-    // synthesized once and reused by all four ablations
+    // synthesized once and reused by all three ablations
     sim::ExperimentRunner runner;
     clampSweep(runner);
     bankSweep(runner);
     elisionAblation(runner);
-    folegnaniComparison(runner);
     const auto cache = runner.cacheStats();
     std::cerr << "engine cache: " << cache.workloadBuilds
               << " workload builds, " << cache.workloadHits

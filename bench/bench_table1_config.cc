@@ -6,21 +6,15 @@
 
 #include <iostream>
 
-#include "bench/common.hh"
 #include "common/logging.hh"
+#include "common/table.hh"
 #include "cpu/core.hh"
 
 int
 main()
 {
     using namespace siq;
-    bench::header("Table 1: processor configuration",
-                  "8-wide fetch/decode/commit; hybrid 2K gshare + 2K "
-                  "bimodal + 1K selector; BTB 2048x4; L1I 64KB/2w/32B "
-                  "1cy; L1D 64KB/4w/32B 2cy; L2 512KB/8w/64B 10cy hit "
-                  "50cy miss; ROB 128; IQ 80; 112 int + 112 fp regs "
-                  "(14 banks of 8); 6 IntALU, 3 IntMul, 4 FpALU, 2 "
-                  "FpMulDiv");
+    std::cout << "==== Table 1: processor configuration ====\n\n";
 
     const CoreConfig cfg;
     Table t({"parameter", "value", "paper"});

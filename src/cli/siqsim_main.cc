@@ -11,6 +11,7 @@
  *   siqsim status ...  report cells done/missing (per shard) for a
  *                      checkpoint run directory
  *   siqsim list        list workload families and techniques
+ *   siqsim figures ... render the paper's figures from an export
  *
  * `run` and `merge` emit *canonical* exports: scheduling and
  * wall-clock metadata are zeroed (sim::canonicalize), so the same
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,6 +32,7 @@
 
 #include "common/logging.hh"
 #include "sim/checkpoint.hh"
+#include "sim/figures.hh"
 #include "sim/report.hh"
 #include "sim/serve.hh"
 #include "sim/sweep.hh"
@@ -54,6 +57,10 @@ usage:
   siqsim status DIR [--shards N] [--cache]
                                     cells done/missing in a run dir
   siqsim list                       list workload families and techniques
+  siqsim figures EXPORT [--figure ID]
+                                    print the paper's figures from a
+                                    --json export (ID: fig6 ... fig12,
+                                    speculation, techniques; default all)
   siqsim serve --socket PATH | --stdio
                                     long-lived simulation daemon (JSONL)
 
@@ -210,14 +217,27 @@ toU64(const std::string &name, const std::string &value)
     return static_cast<std::uint64_t>(v);
 }
 
+/** For int config fields: a value outside int is refused, not
+ *  narrowed into some other count (spec JSON refuses it too). */
+int
+toInt(const std::string &name, const std::string &value)
+{
+    const long v = toLong(name, value);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        fatal("siqsim: --", name, " is out of range, got '", value,
+              "'");
+    return static_cast<int>(v);
+}
+
 /** --seeds: refused below 1, as a spec's "seeds" is. */
 int
 toSeeds(const std::string &value)
 {
-    const long v = toLong("seeds", value);
+    const int v = toInt("seeds", value);
     if (v < 1)
         fatal("siqsim: --seeds must be >= 1, got '", value, "'");
-    return static_cast<int>(v);
+    return v;
 }
 
 std::vector<std::string>
@@ -342,12 +362,11 @@ cmdSpec(Args args)
     if (auto v = args.option("seeds"))
         spec.seeds = toSeeds(*v);
     if (auto v = args.option("jobs"))
-        spec.jobs = static_cast<int>(toLong("jobs", *v));
+        spec.jobs = toInt("jobs", *v);
     if (auto v = args.option("scale"))
-        spec.base.workload.scale = static_cast<int>(toLong("scale", *v));
+        spec.base.workload.scale = toInt("scale", *v);
     if (auto v = args.option("rep-divisor"))
-        spec.base.workload.repDivisor =
-            static_cast<int>(toLong("rep-divisor", *v));
+        spec.base.workload.repDivisor = toInt("rep-divisor", *v);
     if (auto v = args.option("seed"))
         spec.base.workload.seed = toU64("seed", *v);
     if (args.flag("speculative"))
@@ -372,7 +391,7 @@ cmdRun(Args args)
     sim::SweepSpec spec = sim::readSpecJson(is);
 
     if (auto v = args.option("jobs"))
-        spec.jobs = static_cast<int>(toLong("jobs", *v));
+        spec.jobs = toInt("jobs", *v);
     if (auto v = args.option("seeds"))
         spec.seeds = toSeeds(*v);
 
@@ -498,11 +517,11 @@ cmdStatus(Args args)
               << "\n";
 
     if (shardsOpt) {
-        const long n = toLong("shards", *shardsOpt);
+        const int n = toInt("shards", *shardsOpt);
         if (n < 1)
             fatal("siqsim status: --shards must be >= 1");
         for (int s = 0; s < n; s++) {
-            const sim::ShardPlan plan{s, static_cast<int>(n)};
+            const sim::ShardPlan plan{s, n};
             std::size_t owned = 0;
             std::size_t ownedDone = 0;
             for (std::size_t i = 0; i < have.size(); i++) {
@@ -578,6 +597,26 @@ cmdList()
 }
 
 int
+cmdFigures(Args args)
+{
+    const auto id = args.option("figure");
+    const auto &rest = args.rest();
+    if (rest.size() != 1 || rest.front().rfind("--", 0) == 0)
+        fatal("siqsim figures: exactly one export is required (the "
+              "--json of 'siqsim run' or 'siqsim merge')");
+    std::vector<const sim::Figure *> figs;
+    for (const auto &fig : sim::figures())
+        figs.push_back(&fig);
+    if (id)
+        figs = {&sim::findFigure(*id)};
+    std::ifstream is(rest.front());
+    if (!is)
+        fatal("siqsim figures: cannot read '", rest.front(), "'");
+    sim::renderFigures(std::cout, sim::readJson(is), figs);
+    return 0;
+}
+
+int
 cmdServe(Args args)
 {
     const auto socket = args.option("socket");
@@ -590,7 +629,7 @@ cmdServe(Args args)
 
     sim::ServeEngine::Options opts;
     if (jobs)
-        opts.jobs = static_cast<int>(toLong("jobs", *jobs));
+        opts.jobs = toInt("jobs", *jobs);
 
     sim::ServeEngine engine(opts);
     if (stdio) {
@@ -622,6 +661,8 @@ main(int argc, char **argv)
             return cmdStatus(Args(argc, argv, 2));
         if (cmd == "list")
             return cmdList();
+        if (cmd == "figures")
+            return cmdFigures(Args(argc, argv, 2));
         if (cmd == "serve")
             return cmdServe(Args(argc, argv, 2));
         std::cerr << "siqsim: unknown command '" << cmd << "'\n\n";

@@ -30,7 +30,7 @@ enum class Technique
     Extension, ///< compiler hints via instruction tags (§5.3)
     Improved,  ///< Extension + inter-procedural FU analysis (§5.3)
     Abella,    ///< hardware adaptive IqRob64 comparator
-    Folegnani, ///< hardware adaptive resizer (ablation A4)
+    Folegnani, ///< hardware adaptive resizer (Folegnani & González)
 };
 
 /** Human-readable technique name (also its table key). */
@@ -165,6 +165,14 @@ PowerComparison comparePower(const RunResult &baseline,
                              const RunResult &technique,
                              const power::IqPowerParams &iqParams = {},
                              const power::RfPowerParams &rfParams = {});
+
+/** Normalised IPC loss of technique vs baseline (figures 6 and 10). */
+inline double
+ipcLoss(const RunResult &baseline, const RunResult &technique)
+{
+    return baseline.ipc() > 0.0 ? 1.0 - technique.ipc() / baseline.ipc()
+                                : 0.0;
+}
 
 } // namespace siq::sim
 

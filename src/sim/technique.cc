@@ -60,7 +60,7 @@ table()
              return std::make_unique<AbellaResizer>(ac);
          }},
         {"folegnani", Technique::Folegnani,
-         "hardware adaptive resizer (ablation A4)", nullptr,
+         "hardware adaptive resizer (Folegnani & González)", nullptr,
          [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
              FolegnaniConfig fc = cfg.folegnani;
              fc.iqSize = cfg.core.iq.numEntries;

@@ -91,6 +91,20 @@ set -e
 test "$rc" -eq 1
 grep -q "duty=99 outside" range.log
 
+# integer flags outside int are refused, not narrowed into another
+# count (2^32 + 1 would wrap to 1 seed, 2^32 + 40 to divisor 40), and
+# no spec is written
+for flag in "--seeds 4294967297" "--seeds 2147483648" \
+            "--rep-divisor 4294967336"; do
+    # shellcheck disable=SC2086
+    if "$SIQSIM" spec $flag --out narrowed.json 2> narrowed.log; then
+        echo "expected '$flag' to be refused" >&2
+        exit 1
+    fi
+    grep -q "out of range" narrowed.log
+    test ! -e narrowed.json
+done
+
 # parameterized-family end-to-end: a spec embedding family params
 # (written in non-canonical order) runs sharded and merges
 # byte-identical to the unsharded run
